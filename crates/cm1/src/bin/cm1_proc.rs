@@ -25,16 +25,13 @@ use damaris_mpi::ClientKillPhase;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-/// The CM1 node configuration: file-backed shared memory and a UDS
-/// control plane, a handful of prognostic variables per iteration, and
-/// the partial-iteration policy so one dead rank cannot stall output.
-/// Parsed through [`damaris_core::Config`] like every other deployment
-/// knob, so `<shm>`/`<transport>` validation applies.
+/// The CM1 node configuration: a handful of prognostic variables per
+/// iteration, and the partial-iteration policy so one dead rank cannot
+/// stall output. The process topology (file-backed mapping, UDS control
+/// plane) is what this launcher runs, not a config knob.
 const CM1_PROC_XML: &str = r#"
 <damaris>
   <buffer size="262144" allocator="partition"/>
-  <shm backing="file"/>
-  <transport kind="uds"/>
   <layout name="slab" type="real" dimensions="24,24,8"/>
   <variable name="theta" layout="slab"/>
   <variable name="qv" layout="slab"/>

@@ -312,10 +312,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     // Records of already-fenced ranks were reclaimed wholesale.
     let fenced_now: Vec<usize> = state.fenced.iter().copied().collect();
     for rank in fenced_now {
-        for rec in state.remove_rank_commits(rank as u32) {
-            wal.mark_applied(rec.seq)?;
-            wal.mark_released(rec.seq)?;
-        }
+        retire(&mut wal, state.remove_rank_commits(rank as u32), None)?;
     }
 
     // 4. Control plane.
@@ -462,10 +459,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
                 continue;
             }
             report.leases_revoked += 1;
-            for rec in state.remove_rank_commits(rank as u32) {
-                wal.mark_applied(rec.seq)?;
-                wal.mark_released(rec.seq)?;
-            }
+            retire(&mut wal, state.remove_rank_commits(rank as u32), None)?;
             report.bytes_reclaimed += node.revoke_remaining(rank);
             state.fenced.insert(rank);
             *slot = None;
@@ -491,22 +485,13 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
             let missing: Vec<u32> = (0..opts.n_clients as u32)
                 .filter(|r| !iter.ended.contains(r))
                 .collect();
-            let commits: Vec<WalRecord> = {
-                // invariant: `it` was just found in or inserted into the map.
-                let iter = state.iters.get(&it).expect("iteration state exists");
-                iter.commits.values().copied().collect()
-            };
+            let commits: Vec<WalRecord> = iter.commits.values().copied().collect();
             // `wait` stalls while a silent rank might still come back (the
             // all-live-ranks-ended gate above); a rank in `missing` here is
             // provably fenced and never will. `wait` still refuses to
             // publish partial data, so the iteration degrades — commits
             // discarded, segments released, survivors acknowledged.
-            let drop_whole = !missing.is_empty()
-                && matches!(
-                    opts.policy,
-                    OnClientFailure::DropIteration | OnClientFailure::Wait
-                );
-            if drop_whole {
+            if !missing.is_empty() && opts.policy.drops_incomplete() {
                 if opts.policy == OnClientFailure::Wait {
                     report.iterations_degraded += 1;
                 } else {
@@ -519,15 +504,7 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
                     report.partial_iterations += 1;
                 }
             }
-            // Applied (persisted or policy-dropped) → release → released,
-            // in per-client FIFO (= seq) order.
-            let mut by_seq = commits;
-            by_seq.sort_by_key(|r| r.seq);
-            for rec in &by_seq {
-                wal.mark_applied(rec.seq)?;
-                node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
-                wal.mark_released(rec.seq)?;
-            }
+            retire(&mut wal, commits, Some(&node))?;
             wal.mark_iteration_done(it)?;
             state.done.insert(it);
             state.iters.remove(&it);
@@ -552,20 +529,11 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
             }
             // `wait`-policy shutdown drain: abandon unresolved iterations,
             // releasing their segments so nothing leaks.
-            let leftovers: Vec<u32> = state.iters.keys().copied().collect();
-            for it in leftovers {
-                // invariant: key came from the map we are iterating.
-                let iter = state.iters.remove(&it).expect("iteration state exists");
+            for iter in std::mem::take(&mut state.iters).into_values() {
                 if !iter.commits.is_empty() || !iter.ended.is_empty() {
                     report.iterations_degraded += 1;
                 }
-                let mut by_seq: Vec<WalRecord> = iter.commits.into_values().collect();
-                by_seq.sort_by_key(|r| r.seq);
-                for rec in by_seq {
-                    wal.mark_applied(rec.seq)?;
-                    node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
-                    wal.mark_released(rec.seq)?;
-                }
+                retire(&mut wal, iter.commits.into_values().collect(), Some(&node))?;
             }
             break;
         }
@@ -578,6 +546,21 @@ pub fn run_epe(opts: &EpeOptions) -> io::Result<EpeReport> {
     beat(&node);
     report.write_to(&opts.dir.join(format!("epe-report-{}.txt", opts.epoch)))?;
     Ok(report)
+}
+
+/// Retires resolved (persisted or discarded) commits in per-client FIFO
+/// (= seq) order: applied → ring release → released. `node` is `None`
+/// for a fenced rank, whose ring was reclaimed wholesale.
+fn retire(wal: &mut ProcWal, mut recs: Vec<WalRecord>, node: Option<&MappedNode>) -> io::Result<()> {
+    recs.sort_by_key(|r| r.seq);
+    for rec in recs {
+        wal.mark_applied(rec.seq)?;
+        if let Some(node) = node {
+            node.release(rec.rank as usize, rec.offset as usize, rec.len as usize);
+        }
+        wal.mark_released(rec.seq)?;
+    }
+    Ok(())
 }
 
 /// Persists one iteration to `out/iter-<it>.sdf` through the

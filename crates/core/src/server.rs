@@ -15,6 +15,9 @@
 //! end-of-iteration notifications, firing still-pending user events — and
 //! only then publishes its epoch on the heartbeat word, so clients parked
 //! on a stale heartbeat resume against a consistent allocator and store.
+//! Replayed records go through the same event handler as popped events;
+//! replay only adds its pre-filters (fenced source, segment no longer
+//! reserved, user event a dead epoch already claimed).
 //!
 //! Exactly-once processing hinges on [`crate::journal::EventJournal::claim`]:
 //! both the replay and the normal pop path claim an event's sequence
@@ -25,11 +28,11 @@ use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
 use crate::error::DamarisError;
 use crate::event::Event;
-use crate::journal::{Claim, JournalPayload, RecordState};
+use crate::journal::{Claim, JournalPayload, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo};
-use damaris_obs::{EventKind, Histogram, TraceRecord, TraceWriter};
+use damaris_obs::{EventKind, Histogram, Recorder, TraceRecord, TraceWriter};
 use damaris_shm::{LeaseSnapshot, Segment};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::BufWriter;
@@ -38,6 +41,9 @@ use std::time::Duration;
 
 /// Marker source id for server-originated events.
 pub const SERVER_SOURCE: u32 = u32::MAX;
+
+/// A segment waiting for its iteration's flush: `(source, seq, segment)`.
+type Held = (u32, u64, Segment);
 
 /// True when every client of the node is accounted for on an iteration:
 /// either its end-of-iteration notification was counted, or the lease
@@ -61,566 +67,291 @@ fn presence_bits(counted: &[(u32, u64)], clients: usize) -> Option<u64> {
 /// epoch — nonzero means a predecessor crashed and the journal replays.
 pub(crate) fn run(
     shared: Arc<NodeShared>,
-    mut epe: EventProcessingEngine,
+    epe: EventProcessingEngine,
     node_id: u32,
     epoch: u32,
 ) -> Result<NodeReport, DamarisError> {
-    let mut store = MetadataStore::new();
-    let mut report = NodeReport::default();
-    let mut pending_release = Vec::new();
-    // Segments displaced by a same-(iteration, variable, source) rewrite,
-    // held until that iteration fires. Releasing them on the spot is NOT
-    // safe: the partitioned allocator requires per-client FIFO release,
-    // and a client that ran ahead still has retained segments from
-    // *earlier* iterations that were allocated first. Deferring to the
-    // fire lets `flush_releases`'s (source, seq) sort restore allocation
-    // order. (Found by the obs-overhead gate: the out-of-order release
-    // corrupted a region's tail counter and wedged the client on `Full`.)
-    let mut held_rewrites: BTreeMap<u32, Vec<(u32, u64, Segment)>> = BTreeMap::new();
-    // End-notifications counted per iteration, as `(source, seq)` pairs:
-    // the sources decide completion against the fenced set, and the seqnos
-    // are marked applied when the iteration fires.
-    let mut end_counts: HashMap<u32, Vec<(u32, u64)>> = HashMap::new();
-    let backend = Arc::clone(&shared.backend);
-    let rec = shared.obs.server_recorder();
-    let mut obs_flush = ObsFlush::new(&shared, node_id, epoch);
-    // Iteration spans run fire-end to fire-end; the first one starts now.
-    let mut last_fire_end = rec.begin();
-    let mut last_fired: u32 = 0;
-
-    // === Storage-pressure state ===
-    // The machine only has a signal to run on when the backend reports
-    // disk usage; without a sentinel it stays dormant and the loop below
-    // is byte-for-byte the pre-pressure behavior.
-    let pressure_on = backend.sentinel().is_some();
-    let disk_policy = shared.config.resilience.on_disk_full;
-
-    // === Client-failure containment state ===
-    let policy = shared.config.resilience.on_client_failure;
-    // Under the default `wait` policy the sweeper never runs and the loop
-    // below is byte-for-byte the pre-lease behavior: a silent client
-    // stalls its iterations forever (the original Damaris contract).
-    let sweeper_on = policy != OnClientFailure::Wait && shared.clients > 0;
-    let lease_timeout = shared.config.resilience.client_lease_timeout;
-    // Fencing survives server crashes via the journal: a respawned epoch
-    // starts from its predecessor's fenced set.
-    let mut fenced: BTreeSet<u32> = (0..shared.clients as u32)
-        .filter(|c| shared.journal.is_fenced(*c))
-        .collect();
-    // Per-client `(last observation, expiry deadline)` on the backend's
-    // clock (virtual under test). The deadline refreshes whenever the
-    // observation changes; an unchanged lease past its deadline is swept.
-    let mut lease_track: Vec<(LeaseSnapshot, Duration)> = (0..shared.clients)
-        .map(|c| {
-            // invariant: the lease table is sized for the node's clients.
-            let lease = shared.leases.lease(c).expect("lease table covers every client");
-            (lease.snapshot(), backend.clock().now() + lease_timeout)
-        })
-        .collect();
-
-    macro_rules! ctx {
-        () => {
-            ActionContext {
-                node_id,
-                config: &shared.config,
-                store: &mut store,
-                backend: backend.as_ref(),
-                buffer: &shared.buffer,
-                stats: &shared.stats,
-                journal: &shared.journal,
-                pressure: &shared.pressure,
-                pending_release: &mut pending_release,
-                rec: rec.clone(),
-                presence: None,
-            }
-        };
-    }
-
-    // Fires `end_of_iteration`. The counted end-notification records are
-    // retired *before* the plugins run: plugin side effects are
-    // at-most-once across crashes (a crash mid-fire does not re-fire the
-    // iteration on replay — its data is still flushed at `Terminate`).
-    macro_rules! fire_iteration {
-        ($iteration:expr, $counted:expr, $presence:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let info = EventInfo {
-                name: END_OF_ITERATION.to_string(),
-                iteration: $iteration,
-                source: SERVER_SOURCE,
-            };
-            let t_epe = rec.begin();
-            let mut ctx = ctx!();
-            let presence: Option<u64> = $presence;
-            if presence.is_some() {
-                // Firing without every client: the persisted datasets are
-                // stamped with the presence bitmap for the recovery scan.
-                FaultStats::bump(&shared.stats.partial_iterations);
-            }
-            ctx.presence = presence;
-            // Rewritten duplicates of this iteration join the flush, where
-            // the (source, seq) sort merges them back into FIFO order with
-            // the segments the plugins drain.
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            epe.fire(&mut ctx, &info)?;
-            ctx.flush_releases();
-            rec.end(EventKind::EpeDispatch, $iteration, 0, t_epe);
-            // The iteration span covers everything since the previous fire
-            // completed (idle + dispatch), so per-phase sums can be checked
-            // against it for coverage.
-            let now = rec.begin();
-            rec.event(
-                EventKind::Iteration,
-                $iteration,
-                0,
-                now.saturating_sub(last_fire_end),
-            );
-            last_fire_end = now;
-            last_fired = $iteration;
-            report.iterations_persisted += 1;
-            // Between-iteration drain: telemetry I/O rides the dedicated
-            // core, never the compute ranks.
-            obs_flush.drain(&shared, node_id);
-        }};
-    }
-
-    // Under `on_client_failure="drop-iteration"`, an iteration missing a
-    // fenced client is discarded whole: nothing persists, every resident
-    // segment (and held rewrite) releases in FIFO order, and the counted
-    // end records retire. The loss is counted in `iterations_degraded`.
-    macro_rules! drop_iteration {
-        ($iteration:expr, $counted:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let mut ctx = ctx!();
-            let drained = ctx.store.drain_iteration($iteration);
-            ctx.release_all(drained);
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            ctx.flush_releases();
-            FaultStats::bump(&shared.stats.iterations_degraded);
-            eprintln!(
-                "[damaris node {node_id}] iteration {} dropped: client(s) fenced \
-                 under on_client_failure=\"drop-iteration\"",
-                $iteration
-            );
-        }};
-    }
-
-    // Advances the storage-pressure machine against the backend's
-    // sentinel. Runs on every loop pass (and while idle) so transitions —
-    // including the re-ascent to Normal when a chaos scenario lifts the
-    // quota — are observed even when no events flow.
-    macro_rules! poll_pressure {
-        () => {
-            if pressure_on {
-                shared
-                    .pressure
-                    .poll(node_id, backend.as_ref(), &shared.stats, &rec, last_fired);
-            }
-        };
-    }
-
-    // Under `on_disk_full="drop-iteration"`, an iteration that becomes
-    // ready while the node is read-only is discarded whole — same release
-    // mechanics as `drop_iteration!`, its own cause and counter.
-    macro_rules! shed_iteration {
-        ($iteration:expr, $counted:expr) => {{
-            for (_, seq) in $counted {
-                shared.journal.mark_applied(seq);
-            }
-            let mut ctx = ctx!();
-            let drained = ctx.store.drain_iteration($iteration);
-            ctx.release_all(drained);
-            for (source, seq, segment) in
-                held_rewrites.remove(&$iteration).unwrap_or_default()
-            {
-                ctx.release_segment(source, seq, segment);
-            }
-            ctx.flush_releases();
-            FaultStats::bump(&shared.stats.iterations_degraded);
-            FaultStats::bump(&shared.stats.storage_pressure_sheds);
-            eprintln!(
-                "[damaris node {node_id}] iteration {} shed: storage read-only \
-                 under on_disk_full=\"drop-iteration\"",
-                $iteration
-            );
-        }};
-    }
-
-    // Fires (or drops) every iteration whose clients are all counted or
-    // fenced, in ascending order. Complete iterations fire exactly as
-    // before; incomplete ones only become eligible through fencing, and
-    // the policy decides between a partial fire (presence-stamped) and a
-    // drop. While the storage-pressure machine is read-only, ready
-    // iterations are shed per `on_disk_full` instead: `block` holds them
-    // resident until space returns, `drop-iteration` discards them,
-    // `partial` falls through and lets persist fail fast.
-    macro_rules! fire_ready {
-        () => {{
-            let mut ready: Vec<u32> = end_counts
-                .iter()
-                .filter(|(_, counted)| iteration_complete(counted, &fenced, shared.clients))
-                .map(|(it, _)| *it)
-                .collect();
-            ready.sort_unstable();
-            let read_only = pressure_on && shared.pressure.is_read_only();
-            for iteration in ready {
-                let counted = end_counts.remove(&iteration).unwrap_or_default();
-                if read_only {
-                    match disk_policy {
-                        OnDiskFull::Block => {
-                            // Keep the iteration pending (data resident,
-                            // notifications counted); re-examined on every
-                            // pass until the quota relieves.
-                            end_counts.insert(iteration, counted);
-                            continue;
-                        }
-                        OnDiskFull::DropIteration => {
-                            shed_iteration!(iteration, counted);
-                            continue;
-                        }
-                        OnDiskFull::Partial => {}
-                    }
-                }
-                if counted.len() == shared.clients {
-                    fire_iteration!(iteration, counted, None);
-                } else if policy == OnClientFailure::DropIteration {
-                    drop_iteration!(iteration, counted);
-                } else {
-                    let presence = presence_bits(&counted, shared.clients);
-                    fire_iteration!(iteration, counted, presence);
-                }
-            }
-        }};
-    }
-
-    // One sweeper pass: revoke-or-refresh every live client's lease. A
-    // lease unchanged past its deadline is revoked via compare-exchange
-    // against our stale observation — the CAS is the arbiter of the
-    // revoke-vs-late-renew race, so exactly one side wins. A successful
-    // revoke fences the client's journal source and cancels its pending
-    // notifications through the claim lattice; cancelled segments are held
-    // until their iteration's flush so per-client FIFO release survives.
-    macro_rules! sweep_leases {
-        () => {
-            if sweeper_on {
-                let now = backend.clock().now();
-                for c in 0..shared.clients {
-                    let cu = c as u32;
-                    if fenced.contains(&cu) {
-                        continue;
-                    }
-                    // invariant: the lease table is sized for the node's clients.
-                    let lease = shared.leases.lease(c).expect("lease table covers every client");
-                    let snap = lease.snapshot();
-                    if snap != lease_track[c].0 {
-                        // The client renewed since we last looked: refresh.
-                        lease_track[c] = (snap, now + lease_timeout);
-                        continue;
-                    }
-                    if now < lease_track[c].1 {
-                        continue;
-                    }
-                    if !lease.try_revoke(snap) {
-                        // A renew won the race — the client is alive.
-                        lease_track[c] = (lease.snapshot(), now + lease_timeout);
-                        continue;
-                    }
-                    let t_sweep = rec.begin();
-                    FaultStats::bump(&shared.stats.client_leases_expired);
-                    fenced.insert(cu);
-                    for (seq, payload) in shared.journal.fence(cu) {
-                        if shared.journal.claim(seq) != Claim::Fresh {
-                            continue;
-                        }
-                        match payload {
-                            JournalPayload::Write {
-                                iteration,
-                                source,
-                                offset,
-                                len,
-                                ..
-                            }
-                            | JournalPayload::Abandon {
-                                iteration,
-                                source,
-                                offset,
-                                len,
-                            } => {
-                                // Cancelled data never persists, but the
-                                // segment must still release in seq order
-                                // at its iteration's flush.
-                                match shared.buffer.adopt(source, offset, len) {
-                                    Some(segment) => held_rewrites
-                                        .entry(iteration)
-                                        .or_default()
-                                        .push((source, seq, segment)),
-                                    None => shared.journal.mark_applied(seq),
-                                }
-                            }
-                            JournalPayload::User { .. }
-                            | JournalPayload::EndIteration { .. } => {
-                                shared.journal.mark_applied(seq);
-                            }
-                        }
-                    }
-                    eprintln!(
-                        "[damaris node {node_id}] client {cu} lease expired after \
-                         {lease_timeout:?}; fenced and cancelled"
-                    );
-                    rec.end(EventKind::LeaseSweep, last_fired, 0, t_sweep);
-                }
-            }
-        };
-    }
-
-    // Reclaims fenced clients' outstanding shared memory once no live
-    // handle of theirs remains on the server (store, held rewrites,
-    // pending releases): `revoke_remaining` swallows *everything* the
-    // client has outstanding, so a held handle released afterwards would
-    // double-free. Re-run at every opportunity — a zombie (fenced but
-    // still scheduled) client can keep allocating until it observes its
-    // revoked lease.
-    macro_rules! reclaim_fenced {
-        () => {
-            for &cu in fenced.iter() {
-                if store.has_source(cu)
-                    || held_rewrites
-                        .values()
-                        .any(|v| v.iter().any(|(s, _, _)| *s == cu))
-                    || pending_release.iter().any(|(s, _, _)| *s == cu)
-                {
-                    continue;
-                }
-                let reclaimed = shared.buffer.revoke_remaining(cu);
-                if reclaimed > 0 {
-                    shared.stats.segments_reclaimed.add(reclaimed as u64);
-                    eprintln!(
-                        "[damaris node {node_id}] reclaimed {reclaimed}B of abandoned \
-                         shared memory from fenced client {cu}"
-                    );
-                }
-            }
-        };
-    }
-
+    let mut server = Server::new(&shared, epe, node_id, epoch);
     if epoch > 0 {
-        // === Journal replay: rebuild the dead incarnation's state. ===
-        let (entries, corrupt) = shared.journal.replay_snapshot();
-        if corrupt > 0 {
-            eprintln!(
-                "[damaris node {node_id}] replay (epoch {epoch}): skipped {corrupt} \
-                 CRC-corrupt journal record(s)"
-            );
-        }
-        for entry in entries {
-            match entry.payload {
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                    dynamic_layout,
-                    data_crc,
-                } => {
-                    // Claim pending records so the stale queue copy is
-                    // rejected when it eventually pops.
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    if fenced.contains(&source) {
-                        // The dead epoch's sweeper fenced this client but
-                        // may have crashed mid-cancel: finish the job. The
-                        // segment is never persisted — it releases at its
-                        // iteration's flush.
-                        match shared.buffer.adopt(source, offset, len) {
-                            Some(segment) => held_rewrites
-                                .entry(iteration)
-                                .or_default()
-                                .push((source, entry.seq, segment)),
-                            None => shared.journal.mark_applied(entry.seq),
-                        }
-                        continue;
-                    }
-                    let Some(def) = shared.config.variable(variable_id) else {
-                        shared.journal.mark_applied(entry.seq);
-                        eprintln!(
-                            "[damaris node {node_id}] replay: unknown variable id \
-                             {variable_id} (seq {}); skipped",
-                            entry.seq
-                        );
-                        continue;
-                    };
-                    match shared.buffer.adopt(source, offset, len) {
-                        Some(segment) => {
-                            FaultStats::bump(&shared.stats.events_replayed);
-                            report.variables_received += 1;
-                            report.bytes_received += segment.len() as u64;
-                            let layout = match dynamic_layout {
-                                Some(layout) => layout,
-                                None => shared.config.layout_of(def).storage_layout(),
-                            };
-                            let var = StoredVariable {
-                                key: VariableKey {
-                                    iteration,
-                                    variable_id,
-                                    source,
-                                },
-                                name: def.name.clone(),
-                                layout,
-                                segment,
-                                seq: entry.seq,
-                                data_crc,
-                            };
-                            report.peak_resident_bytes = report
-                                .peak_resident_bytes
-                                .max(store.bytes_resident() as u64 + var.segment.len() as u64);
-                            if let Some(replaced) = store.insert(var) {
-                                held_rewrites
-                                    .entry(iteration)
-                                    .or_default()
-                                    .push((source, replaced.seq, replaced.segment));
-                            }
-                        }
-                        None => {
-                            // Not adoptable: the dead server released it
-                            // between persisting and marking the record
-                            // applied. The data is already safe (or was
-                            // deliberately degraded) — retire the record.
-                            shared.journal.mark_applied(entry.seq);
-                            eprintln!(
-                                "[damaris node {node_id}] replay: write seq {} \
-                                 (src {source}, {len}B@{offset}) not adoptable; skipped",
-                                entry.seq
-                            );
-                        }
-                    }
-                }
-                JournalPayload::EndIteration { iteration, source } => {
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    if fenced.contains(&source) {
-                        // Cancelled by the fence: completion comes from the
-                        // fenced set, not the count.
-                        shared.journal.mark_applied(entry.seq);
-                        continue;
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    end_counts
-                        .entry(iteration)
-                        .or_default()
-                        .push((source, entry.seq));
-                }
-                JournalPayload::Abandon {
-                    iteration,
-                    source,
-                    offset,
-                    len,
-                } => {
-                    if entry.state == RecordState::Pending {
-                        let _ = shared.journal.claim(entry.seq);
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    match shared.buffer.adopt(source, offset, len) {
-                        Some(segment) => held_rewrites
-                            .entry(iteration)
-                            .or_default()
-                            .push((source, entry.seq, segment)),
-                        // Already released before the crash: just retire.
-                        None => shared.journal.mark_applied(entry.seq),
-                    }
-                }
-                JournalPayload::User {
-                    name,
-                    iteration,
-                    source,
-                } => {
-                    if entry.state != RecordState::Pending {
-                        // The dead epoch claimed it and may have run its
-                        // plugins: at-most-once forbids re-firing.
-                        shared.journal.mark_applied(entry.seq);
-                        continue;
-                    }
-                    let _ = shared.journal.claim(entry.seq);
-                    shared.journal.mark_applied(entry.seq);
-                    if fenced.contains(&source) {
-                        // A dead client's signal does not fire.
-                        continue;
-                    }
-                    FaultStats::bump(&shared.stats.events_replayed);
-                    report.user_events += 1;
-                    let info = EventInfo {
-                        name,
-                        iteration,
-                        source,
-                    };
-                    let mut ctx = ctx!();
-                    epe.fire(&mut ctx, &info)?;
-                    ctx.flush_releases();
-                }
-            }
-        }
-        // Fire iterations the replayed notifications (or pre-crash
-        // fencing) completed.
-        fire_ready!();
-        shared.journal.compact();
+        server.replay(epoch)?;
     }
     // Publish this epoch only after replay: clients parked on a stale
     // heartbeat resume against fully-rebuilt state (the Release store
     // makes everything above visible to their Acquire observe).
     shared.heartbeat.begin_epoch(epoch);
-
-    poll_pressure!();
-
+    server.poll_pressure();
     loop {
-        let t_idle = rec.begin();
-        let event = if sweeper_on || pressure_on {
-            // Manual poll instead of `pop_wait_with`: the sweeper must run
-            // precisely when the queue goes quiet — a dead client stops
-            // producing events, which is exactly what starves a blocking
-            // pop. The pressure machine polls here for the same reason: a
-            // quota lift (space returning) produces no event, yet held
-            // iterations must fire and the node must re-ascend to Normal.
-            loop {
-                match shared.queue.pop() {
-                    Some(event) => break event,
-                    None => {
-                        shared.heartbeat.beat();
-                        poll_pressure!();
-                        sweep_leases!();
-                        fire_ready!();
-                        reclaim_fenced!();
-                        std::thread::sleep(Duration::from_micros(100));
-                    }
-                }
-            }
-        } else {
-            shared.queue.pop_wait_with(|| shared.heartbeat.beat())
-        };
+        let t_idle = server.rec.begin();
+        let event = server.wait_for_event()?;
         // Tagged with the iteration we are presumably waiting to complete.
-        rec.end(EventKind::QueueIdle, last_fired.wrapping_add(1), 0, t_idle);
+        server.rec.end(EventKind::QueueIdle, server.last_fired.wrapping_add(1), 0, t_idle);
         // Claim arbitration: an event whose journal record was already
         // processed (by a previous epoch's replay) is dropped. The segment
         // handle in a stale Write is inert — the replay's adopted handle
         // owns the allocation.
-        if let Some(seq) = event.seq() {
-            if shared.journal.claim(seq) == Claim::Stale {
-                FaultStats::bump(&shared.stats.stale_events_rejected);
-                continue;
+        if event.seq().is_some_and(|seq| shared.journal.claim(seq) == Claim::Stale) {
+            FaultStats::bump(&shared.stats.stale_events_rejected);
+            continue;
+        }
+        if !server.handle(event)? {
+            break;
+        }
+        server.maintain()?;
+        shared.heartbeat.beat();
+    }
+    Ok(server.finish())
+}
+
+/// One incarnation of the dedicated core: everything the loop keeps
+/// between events.
+struct Server<'a> {
+    shared: &'a NodeShared,
+    epe: EventProcessingEngine,
+    node_id: u32,
+    rec: Recorder,
+    obs_flush: ObsFlush,
+    store: MetadataStore,
+    report: NodeReport,
+    // The actions' release list; empty between actions, kept for its
+    // capacity.
+    pending_release: Vec<Held>,
+    // Segments displaced by a same-(iteration, variable, source) rewrite,
+    // handed back by an `Abandon`, or cancelled by a fence, held until
+    // their iteration fires. Releasing them on the spot is NOT safe: the
+    // partitioned allocator requires per-client FIFO release, and a
+    // client that ran ahead still has retained segments from *earlier*
+    // iterations that were allocated first. Deferring to the fire lets
+    // `flush_releases`'s (source, seq) sort restore allocation order.
+    // (Found by the obs-overhead gate: the out-of-order release corrupted
+    // a region's tail counter and wedged the client on `Full`.)
+    held_rewrites: BTreeMap<u32, Vec<Held>>,
+    // End-notifications counted per iteration, as `(source, seq)` pairs:
+    // the sources decide completion against the fenced set, and the seqnos
+    // are marked applied when the iteration fires.
+    end_counts: HashMap<u32, Vec<(u32, u64)>>,
+    // Iteration spans run fire-end to fire-end.
+    last_fire_end: u64,
+    last_fired: u32,
+    // The pressure machine only has a signal to run on when the backend
+    // reports disk usage; without a sentinel it stays dormant.
+    pressure_on: bool,
+    // Under the default `wait` policy the sweeper never runs: a silent
+    // client stalls its iterations forever (the original Damaris
+    // contract).
+    sweeper_on: bool,
+    // Fencing survives server crashes via the journal: a respawned epoch
+    // starts from its predecessor's fenced set.
+    fenced: BTreeSet<u32>,
+    // Per-client `(last observation, expiry deadline)` on the backend's
+    // clock (virtual under test). The deadline refreshes whenever the
+    // observation changes; an unchanged lease past its deadline is swept.
+    lease_track: Vec<(LeaseSnapshot, Duration)>,
+}
+
+impl<'a> Server<'a> {
+    fn new(shared: &'a NodeShared, epe: EventProcessingEngine, node_id: u32, epoch: u32) -> Self {
+        let rec = shared.obs.server_recorder();
+        let resilience = &shared.config.resilience;
+        let now = shared.backend.clock().now();
+        Server {
+            shared,
+            epe,
+            node_id,
+            obs_flush: ObsFlush::new(shared, node_id, epoch),
+            // The first iteration span starts now.
+            last_fire_end: rec.begin(),
+            rec,
+            store: MetadataStore::new(),
+            report: NodeReport::default(),
+            pending_release: Vec::new(),
+            held_rewrites: BTreeMap::new(),
+            end_counts: HashMap::new(),
+            last_fired: 0,
+            pressure_on: shared.backend.sentinel().is_some(),
+            sweeper_on: resilience.on_client_failure != OnClientFailure::Wait && shared.clients > 0,
+            fenced: (0..shared.clients as u32)
+                .filter(|c| shared.journal.is_fenced(*c))
+                .collect(),
+            lease_track: (0..shared.clients)
+                .map(|c| {
+                    // invariant: the lease table is sized for the node's clients.
+                    let lease = shared.leases.lease(c).expect("lease table covers every client");
+                    (lease.snapshot(), now + resilience.client_lease_timeout)
+                })
+                .collect(),
+        }
+    }
+
+    /// Pops the next event, spinning then yielding while the queue is
+    /// empty. Every idle poll beats the heartbeat; with the lease sweeper
+    /// or the pressure machine on it also runs [`Server::maintain`]: a
+    /// dead client stops producing events, which is exactly what starves
+    /// a blocking pop, and a quota lift produces no event either, yet
+    /// held iterations must fire and the node must re-ascend to Normal.
+    fn wait_for_event(&mut self) -> Result<Event, DamarisError> {
+        let shared = self.shared;
+        shared.queue.pop_wait_with(|| {
+            shared.heartbeat.beat();
+            if self.sweeper_on || self.pressure_on {
+                self.maintain()?;
+            }
+            Ok(())
+        })
+    }
+
+    /// The pass after every event (and every idle poll, see
+    /// [`Server::wait_for_event`]).
+    fn maintain(&mut self) -> Result<(), DamarisError> {
+        self.poll_pressure();
+        self.sweep_leases();
+        self.fire_ready()?;
+        self.reclaim_fenced();
+        Ok(())
+    }
+
+    /// Rebuilds the dead incarnation's state from the journal.
+    fn replay(&mut self, epoch: u32) -> Result<(), DamarisError> {
+        let (entries, corrupt) = self.shared.journal.replay_snapshot();
+        if corrupt > 0 {
+            eprintln!(
+                "[damaris node {}] replay (epoch {epoch}): skipped {corrupt} \
+                 CRC-corrupt journal record(s)",
+                self.node_id
+            );
+        }
+        for ReplayEntry { seq, state, payload } in entries {
+            // Claim pending records so the stale queue copy is rejected
+            // when it eventually pops.
+            if state == RecordState::Pending {
+                let _ = self.shared.journal.claim(seq);
+            }
+            if let Some(event) = self.readmit(seq, state, payload) {
+                FaultStats::bump(&self.shared.stats.events_replayed);
+                self.handle(event)?;
             }
         }
+        // Fire iterations the replayed notifications (or pre-crash
+        // fencing) completed.
+        self.fire_ready()?;
+        self.shared.journal.compact();
+        Ok(())
+    }
+
+    /// Replay's pre-filters: turns a surviving journal record back into
+    /// the event the dead incarnation popped, or retires it and returns
+    /// `None`.
+    fn readmit(&mut self, seq: u64, state: RecordState, payload: JournalPayload) -> Option<Event> {
+        if self.fenced.contains(&payload.source()) {
+            // The dead epoch's sweeper fenced this client but may have
+            // crashed mid-cancel: finish the job.
+            self.cancel(seq, payload);
+            return None;
+        }
+        match payload {
+            JournalPayload::Write {
+                variable_id,
+                iteration,
+                source,
+                offset,
+                len,
+                dynamic_layout,
+                data_crc,
+            } => Some(Event::Write {
+                variable_id,
+                iteration,
+                source,
+                segment: self.adopt_or_retire(seq, source, offset, len)?,
+                dynamic_layout,
+                seq,
+                data_crc,
+            }),
+            JournalPayload::Abandon {
+                iteration,
+                source,
+                offset,
+                len,
+            } => Some(Event::Abandon {
+                iteration,
+                source,
+                segment: self.adopt_or_retire(seq, source, offset, len)?,
+                seq,
+            }),
+            JournalPayload::EndIteration { iteration, source } => {
+                Some(Event::EndIteration { iteration, source, seq })
+            }
+            // A claimed record may already have run its plugins in the
+            // dead epoch: at-most-once forbids re-firing.
+            JournalPayload::User { .. } if state != RecordState::Pending => {
+                self.shared.journal.mark_applied(seq);
+                None
+            }
+            JournalPayload::User {
+                name,
+                iteration,
+                source,
+            } => Some(Event::User {
+                name,
+                iteration,
+                source,
+                seq,
+            }),
+        }
+    }
+
+    /// Re-creates the handle of a journaled segment, or retires the record
+    /// when the segment is no longer reserved: it was released between
+    /// persisting (or cancelling) and marking the record applied, so the
+    /// data is already safe (or was deliberately degraded).
+    fn adopt_or_retire(&self, seq: u64, source: u32, offset: usize, len: usize) -> Option<Segment> {
+        let segment = self.shared.buffer.adopt(source, offset, len);
+        if segment.is_none() {
+            self.shared.journal.mark_applied(seq);
+            eprintln!(
+                "[damaris node {}] journal seq {seq} (src {source}, {len}B@{offset}) \
+                 not adoptable; retired",
+                self.node_id
+            );
+        }
+        segment
+    }
+
+    /// Cancels a fenced client's journaled notification: it never takes
+    /// effect, but a segment it names must still release in seq order,
+    /// so the segment is held until its iteration's flush (or the record
+    /// retires if the segment was already released). An end notification
+    /// is not counted: completion comes from the fenced set.
+    fn cancel(&mut self, seq: u64, payload: JournalPayload) {
+        match payload {
+            JournalPayload::Write {
+                iteration,
+                source,
+                offset,
+                len,
+                ..
+            }
+            | JournalPayload::Abandon {
+                iteration,
+                source,
+                offset,
+                len,
+            } => {
+                if let Some(segment) = self.adopt_or_retire(seq, source, offset, len) {
+                    self.hold(iteration, (source, seq, segment));
+                }
+            }
+            JournalPayload::User { .. } | JournalPayload::EndIteration { .. } => {
+                self.shared.journal.mark_applied(seq);
+            }
+        }
+    }
+
+    fn hold(&mut self, iteration: u32, held: Held) {
+        self.held_rewrites.entry(iteration).or_default().push(held);
+    }
+
+    /// Acts on one event, popped or replayed. Returns `false` once a
+    /// `Terminate` has shut the node down.
+    fn handle(&mut self, event: Event) -> Result<bool, DamarisError> {
         match event {
             Event::Write {
                 variable_id,
@@ -631,16 +362,12 @@ pub(crate) fn run(
                 seq,
                 data_crc,
             } => {
-                let def = shared
-                    .config
+                let config = &self.shared.config;
+                let def = config
                     .variable(variable_id)
                     .ok_or_else(|| DamarisError::UnknownVariable(format!("id {variable_id}")))?;
-                report.variables_received += 1;
-                report.bytes_received += segment.len() as u64;
-                let layout = match dynamic_layout {
-                    Some(layout) => layout,
-                    None => shared.config.layout_of(def).storage_layout(),
-                };
+                self.report.variables_received += 1;
+                self.report.bytes_received += segment.len() as u64;
                 let var = StoredVariable {
                     key: VariableKey {
                         iteration,
@@ -648,23 +375,20 @@ pub(crate) fn run(
                         source,
                     },
                     name: def.name.clone(),
-                    layout,
+                    layout: dynamic_layout
+                        .unwrap_or_else(|| config.layout_of(def).storage_layout()),
                     segment,
                     seq,
                     data_crc,
                 };
-                report.peak_resident_bytes = report
+                self.report.peak_resident_bytes = self
+                    .report
                     .peak_resident_bytes
-                    .max(store.bytes_resident() as u64 + var.segment.len() as u64);
-                if let Some(replaced) = store.insert(var) {
+                    .max(self.store.bytes_resident() as u64 + var.segment.len() as u64);
+                if let Some(replaced) = self.store.insert(var) {
                     // Duplicate tuple: hold the displaced segment until the
-                    // iteration fires — an immediate release here can jump
-                    // ahead of still-retained older segments and break the
-                    // allocator's per-client FIFO contract.
-                    held_rewrites
-                        .entry(iteration)
-                        .or_default()
-                        .push((source, replaced.seq, replaced.segment));
+                    // iteration fires (see `held_rewrites`).
+                    self.hold(iteration, (source, replaced.seq, replaced.segment));
                 }
             }
             Event::User {
@@ -675,132 +399,377 @@ pub(crate) fn run(
             } => {
                 // At-most-once: retire the record before firing, so a
                 // crash mid-plugin does not re-fire it on replay.
-                shared.journal.mark_applied(seq);
-                report.user_events += 1;
+                self.shared.journal.mark_applied(seq);
+                self.report.user_events += 1;
                 let info = EventInfo {
                     name,
                     iteration,
                     source,
                 };
-                let t_epe = rec.begin();
-                let mut ctx = ctx!();
-                epe.fire(&mut ctx, &info)?;
-                ctx.flush_releases();
-                rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
+                let t_epe = self.rec.begin();
+                self.with_ctx(Vec::new(), None, |epe, ctx| epe.fire(ctx, &info))?;
+                self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
             }
+            // The fire itself happens in the `fire_ready` pass, which also
+            // covers iterations completed by fencing.
             Event::EndIteration {
                 iteration,
                 source,
                 seq,
-            } => {
-                end_counts
-                    .entry(iteration)
-                    .or_default()
-                    .push((source, seq));
-                // The fire itself happens in the `fire_ready!` pass below,
-                // which also covers iterations completed by fencing.
-            }
+            } => self.end_counts.entry(iteration).or_default().push((source, seq)),
+            // A client handed back an uncommitted region. It may not
+            // release the segment itself (per-client FIFO, single
+            // consumer) — hold it until the iteration's flush.
             Event::Abandon {
                 iteration,
                 source,
                 segment,
                 seq,
-            } => {
-                // A client handed back an uncommitted region. It may not
-                // release the segment itself (per-client FIFO, single
-                // consumer) — hold it until the iteration's flush, where
-                // the (source, seq) sort restores allocation order.
-                held_rewrites
-                    .entry(iteration)
-                    .or_default()
-                    .push((source, seq, segment));
-            }
+            } => self.hold(iteration, (source, seq, segment)),
             Event::Terminate => {
-                // Flush any iterations that never completed (e.g. a client
-                // crashed between write and end_iteration): persist what we
-                // have rather than lose it. Incomplete flushes get the
-                // presence stamp under the `partial` policy so recovery can
-                // tell which ranks made it.
-                for iteration in store.pending_iterations() {
-                    let counted = end_counts.remove(&iteration).unwrap_or_default();
-                    let presence = if counted.len() == shared.clients
-                        || policy != OnClientFailure::Partial
-                    {
-                        None
-                    } else {
-                        presence_bits(&counted, shared.clients)
-                    };
-                    fire_iteration!(iteration, counted, presence);
-                }
-                // End-notifications for iterations with no resident data
-                // have no further effect; retire their records.
-                for (_, counted) in end_counts.drain() {
-                    for (_, seq) in counted {
-                        shared.journal.mark_applied(seq);
-                    }
-                }
-                {
-                    // Shutdown pass: stateful plugins flush their residuals.
-                    let mut ctx = ctx!();
-                    // Belt and braces: every held rewrite belongs to an
-                    // iteration whose replacement was resident, so the
-                    // flush-out above should have drained the map — but
-                    // never leak a segment on the way out.
-                    for (_, seqs) in std::mem::take(&mut held_rewrites) {
-                        for (source, seq, segment) in seqs {
-                            ctx.release_segment(source, seq, segment);
-                        }
-                    }
-                    epe.finalize_all(&mut ctx)?;
-                    ctx.flush_releases();
-                }
-                // Last zombie reclamation: nothing of the fenced clients'
-                // is held any more, so their partitions drain completely.
-                reclaim_fenced!();
-                // The loop exits here, so the trackers' final updates from
-                // the flush-out fires above are intentionally unread.
-                let _ = (last_fired, last_fire_end);
-                break;
+                self.shutdown()?;
+                return Ok(false);
             }
         }
-        poll_pressure!();
-        sweep_leases!();
-        fire_ready!();
-        reclaim_fenced!();
-        shared.heartbeat.beat();
+        Ok(true)
     }
-    shared.journal.compact();
-    // Final drain so records from the tail of the run (and the shutdown
-    // pass itself) reach the histograms and the trace file.
-    obs_flush.drain(&shared, node_id);
-    obs_flush.finish(node_id);
 
-    report.files_created = backend.files_created();
-    report.bytes_stored = backend.bytes_written();
-    let stats = &shared.stats;
-    report.persist_retries = FaultStats::get(&stats.persist_retries);
-    report.iterations_degraded = FaultStats::get(&stats.iterations_degraded);
-    report.writes_dropped = FaultStats::get(&stats.writes_dropped);
-    report.sync_fallback_writes = FaultStats::get(&stats.sync_fallback_writes);
-    report.plugin_failures = FaultStats::get(&stats.plugin_failures);
-    report.plugins_quarantined = FaultStats::get(&stats.plugins_quarantined);
-    report.recovery_actions = FaultStats::get(&stats.recovery_actions);
-    report.epe_respawns = FaultStats::get(&stats.epe_respawns);
-    report.events_replayed = FaultStats::get(&stats.events_replayed);
-    report.stale_events_rejected = FaultStats::get(&stats.stale_events_rejected);
-    report.heartbeat_stale_observed = FaultStats::get(&stats.heartbeat_stale_observed);
-    report.client_leases_expired = FaultStats::get(&stats.client_leases_expired);
-    report.segments_reclaimed = FaultStats::get(&stats.segments_reclaimed);
-    report.crc_quarantined = FaultStats::get(&stats.crc_quarantined);
-    report.partial_iterations = FaultStats::get(&stats.partial_iterations);
-    report.shm_orphans_removed = FaultStats::get(&stats.shm_orphans_removed);
-    report.shm_orphans_quarantined = FaultStats::get(&stats.shm_orphans_quarantined);
-    report.storage_pressure_degraded = FaultStats::get(&stats.storage_pressure_degraded);
-    report.storage_pressure_readonly = FaultStats::get(&stats.storage_pressure_readonly);
-    report.storage_pressure_recovered = FaultStats::get(&stats.storage_pressure_recovered);
-    report.storage_pressure_sheds = FaultStats::get(&stats.storage_pressure_sheds);
-    report.storage_pressure_gc_bytes = FaultStats::get(&stats.storage_pressure_gc_bytes);
-    Ok(report)
+    /// Runs `action` against an [`ActionContext`] over the server's state,
+    /// with `held` segments queued for release, then flushes the releases
+    /// in per-client FIFO order.
+    fn with_ctx(
+        &mut self,
+        held: Vec<Held>,
+        presence: Option<u64>,
+        action: impl FnOnce(&mut EventProcessingEngine, &mut ActionContext<'_>) -> Result<(), DamarisError>,
+    ) -> Result<(), DamarisError> {
+        let shared = self.shared;
+        let mut ctx = ActionContext {
+            node_id: self.node_id,
+            config: &shared.config,
+            store: &mut self.store,
+            backend: shared.backend.as_ref(),
+            buffer: &shared.buffer,
+            stats: &shared.stats,
+            journal: &shared.journal,
+            pressure: &shared.pressure,
+            pending_release: &mut self.pending_release,
+            rec: self.rec.clone(),
+            presence,
+        };
+        for (source, seq, segment) in held {
+            ctx.release_segment(source, seq, segment);
+        }
+        action(&mut self.epe, &mut ctx)?;
+        ctx.flush_releases();
+        Ok(())
+    }
+
+    /// Marks counted end-of-iteration notifications applied.
+    fn retire(&self, counted: &[(u32, u64)]) {
+        for (_, seq) in counted {
+            self.shared.journal.mark_applied(*seq);
+        }
+    }
+
+    /// Fires `end_of_iteration`. The counted end-notification records are
+    /// retired *before* the plugins run: plugin side effects are
+    /// at-most-once across crashes (a crash mid-fire does not re-fire the
+    /// iteration on replay — its data is still flushed at `Terminate`).
+    fn fire_iteration(
+        &mut self,
+        iteration: u32,
+        counted: &[(u32, u64)],
+        presence: Option<u64>,
+    ) -> Result<(), DamarisError> {
+        self.retire(counted);
+        let info = EventInfo {
+            name: END_OF_ITERATION.to_string(),
+            iteration,
+            source: SERVER_SOURCE,
+        };
+        let t_epe = self.rec.begin();
+        if presence.is_some() {
+            // Firing without every client: the persisted datasets are
+            // stamped with the presence bitmap for the recovery scan.
+            FaultStats::bump(&self.shared.stats.partial_iterations);
+        }
+        // Rewritten duplicates of this iteration join the flush, where the
+        // (source, seq) sort merges them back into FIFO order with the
+        // segments the plugins drain.
+        let held = self.held_rewrites.remove(&iteration).unwrap_or_default();
+        self.with_ctx(held, presence, |epe, ctx| epe.fire(ctx, &info))?;
+        self.rec.end(EventKind::EpeDispatch, iteration, 0, t_epe);
+        // The iteration span covers everything since the previous fire
+        // completed (idle + dispatch), so per-phase sums can be checked
+        // against it for coverage.
+        let now = self.rec.begin();
+        self.rec.event(
+            EventKind::Iteration,
+            iteration,
+            0,
+            now.saturating_sub(self.last_fire_end),
+        );
+        self.last_fire_end = now;
+        self.last_fired = iteration;
+        self.report.iterations_persisted += 1;
+        // Between-iteration drain: telemetry I/O rides the dedicated core,
+        // never the compute ranks.
+        self.obs_flush.drain(self.shared, self.node_id);
+        Ok(())
+    }
+
+    /// Discards a ready iteration whole: nothing persists, every resident
+    /// segment (and held rewrite) releases in FIFO order, and the counted
+    /// end records retire. Counted in `iterations_degraded`. Two policies
+    /// discard: `on_client_failure="drop-iteration"` drops an iteration
+    /// missing a fenced client, and `on_disk_full="drop-iteration"` sheds
+    /// (`shed`) one that becomes ready while the node is read-only.
+    fn discard_iteration(
+        &mut self,
+        iteration: u32,
+        counted: &[(u32, u64)],
+        shed: bool,
+    ) -> Result<(), DamarisError> {
+        self.retire(counted);
+        let held = self.held_rewrites.remove(&iteration).unwrap_or_default();
+        self.with_ctx(held, None, |_, ctx| {
+            let drained = ctx.store.drain_iteration(iteration);
+            ctx.release_all(drained);
+            Ok(())
+        })?;
+        let stats = &self.shared.stats;
+        FaultStats::bump(&stats.iterations_degraded);
+        let cause = if shed {
+            FaultStats::bump(&stats.storage_pressure_sheds);
+            "shed: storage read-only under on_disk_full"
+        } else {
+            "dropped: client(s) fenced under on_client_failure"
+        };
+        eprintln!(
+            "[damaris node {}] iteration {iteration} {cause}=\"drop-iteration\"",
+            self.node_id
+        );
+        Ok(())
+    }
+
+    /// Advances the storage-pressure machine against the backend's
+    /// sentinel, so transitions — including the re-ascent to Normal when
+    /// a chaos scenario lifts the quota — are observed even when no events
+    /// flow.
+    fn poll_pressure(&self) {
+        if self.pressure_on {
+            let shared = self.shared;
+            shared.pressure.poll(
+                self.node_id,
+                shared.backend.as_ref(),
+                &shared.stats,
+                &self.rec,
+                self.last_fired,
+            );
+        }
+    }
+
+    /// Fires (or drops) every iteration whose clients are all counted or
+    /// fenced, in ascending order. Complete iterations fire exactly as
+    /// before; incomplete ones only become eligible through fencing, and
+    /// the policy decides between a partial fire (presence-stamped) and a
+    /// drop. While the storage-pressure machine is read-only, ready
+    /// iterations are shed per `on_disk_full` instead: `block` holds them
+    /// resident until space returns, `drop-iteration` discards them,
+    /// `partial` falls through and lets persist fail fast.
+    fn fire_ready(&mut self) -> Result<(), DamarisError> {
+        let shared = self.shared;
+        let (clients, resilience) = (shared.clients, &shared.config.resilience);
+        let mut ready: Vec<u32> = self
+            .end_counts
+            .iter()
+            .filter(|(_, counted)| iteration_complete(counted, &self.fenced, clients))
+            .map(|(it, _)| *it)
+            .collect();
+        ready.sort_unstable();
+        let read_only = self.pressure_on && shared.pressure.is_read_only();
+        for iteration in ready {
+            let counted = self.end_counts.remove(&iteration).unwrap_or_default();
+            if read_only {
+                match resilience.on_disk_full {
+                    OnDiskFull::Block => {
+                        // Keep the iteration pending (data resident,
+                        // notifications counted); re-examined on every
+                        // pass until the quota relieves.
+                        self.end_counts.insert(iteration, counted);
+                        continue;
+                    }
+                    OnDiskFull::DropIteration => {
+                        self.discard_iteration(iteration, &counted, true)?;
+                        continue;
+                    }
+                    OnDiskFull::Partial => {}
+                }
+            }
+            if counted.len() == clients {
+                self.fire_iteration(iteration, &counted, None)?;
+            } else if resilience.on_client_failure.drops_incomplete() {
+                self.discard_iteration(iteration, &counted, false)?;
+            } else {
+                self.fire_iteration(iteration, &counted, presence_bits(&counted, clients))?;
+            }
+        }
+        Ok(())
+    }
+
+    /// One sweeper pass: revoke-or-refresh every live client's lease. A
+    /// lease unchanged past its deadline is revoked via compare-exchange
+    /// against our stale observation — the CAS is the arbiter of the
+    /// revoke-vs-late-renew race, so exactly one side wins. A successful
+    /// revoke fences the client's journal source and cancels its pending
+    /// notifications through the claim lattice; cancelled segments are
+    /// held until their iteration's flush so per-client FIFO release
+    /// survives.
+    fn sweep_leases(&mut self) {
+        if !self.sweeper_on {
+            return;
+        }
+        let shared = self.shared;
+        let lease_timeout = shared.config.resilience.client_lease_timeout;
+        let now = shared.backend.clock().now();
+        for c in 0..shared.clients {
+            let cu = c as u32;
+            if self.fenced.contains(&cu) {
+                continue;
+            }
+            // invariant: the lease table is sized for the node's clients.
+            let lease = shared.leases.lease(c).expect("lease table covers every client");
+            let snap = lease.snapshot();
+            if snap != self.lease_track[c].0 {
+                // The client renewed since we last looked: refresh.
+                self.lease_track[c] = (snap, now + lease_timeout);
+                continue;
+            }
+            if now < self.lease_track[c].1 {
+                continue;
+            }
+            if !lease.try_revoke(snap) {
+                // A renew won the race — the client is alive.
+                self.lease_track[c] = (lease.snapshot(), now + lease_timeout);
+                continue;
+            }
+            let t_sweep = self.rec.begin();
+            FaultStats::bump(&shared.stats.client_leases_expired);
+            self.fenced.insert(cu);
+            for (seq, payload) in shared.journal.fence(cu) {
+                if shared.journal.claim(seq) == Claim::Fresh {
+                    self.cancel(seq, payload);
+                }
+            }
+            eprintln!(
+                "[damaris node {}] client {cu} lease expired after \
+                 {lease_timeout:?}; fenced and cancelled",
+                self.node_id
+            );
+            self.rec.end(EventKind::LeaseSweep, self.last_fired, 0, t_sweep);
+        }
+    }
+
+    /// Reclaims fenced clients' outstanding shared memory once no live
+    /// handle of theirs remains on the server (store, held rewrites):
+    /// `revoke_remaining` swallows *everything* the
+    /// client has outstanding, so a held handle released afterwards would
+    /// double-free. Re-run at every opportunity — a zombie (fenced but
+    /// still scheduled) client can keep allocating until it observes its
+    /// revoked lease.
+    fn reclaim_fenced(&self) {
+        for &cu in &self.fenced {
+            if self.store.has_source(cu)
+                || self
+                    .held_rewrites
+                    .values()
+                    .any(|v| v.iter().any(|(s, _, _)| *s == cu))
+            {
+                continue;
+            }
+            let reclaimed = self.shared.buffer.revoke_remaining(cu);
+            if reclaimed > 0 {
+                self.shared.stats.segments_reclaimed.add(reclaimed as u64);
+                eprintln!(
+                    "[damaris node {}] reclaimed {reclaimed}B of abandoned \
+                     shared memory from fenced client {cu}",
+                    self.node_id
+                );
+            }
+        }
+    }
+
+    /// `Terminate`: flushes any iterations that never completed (e.g. a
+    /// client crashed between write and end_iteration) — persisting what
+    /// we have rather than losing it — then lets stateful plugins flush
+    /// their residuals. Incomplete flushes get the presence stamp under
+    /// the `partial` policy so recovery can tell which ranks made it.
+    fn shutdown(&mut self) -> Result<(), DamarisError> {
+        let clients = self.shared.clients;
+        let partial = self.shared.config.resilience.on_client_failure == OnClientFailure::Partial;
+        for iteration in self.store.pending_iterations() {
+            let counted = self.end_counts.remove(&iteration).unwrap_or_default();
+            let presence = if counted.len() == clients || !partial {
+                None
+            } else {
+                presence_bits(&counted, clients)
+            };
+            self.fire_iteration(iteration, &counted, presence)?;
+        }
+        // End-notifications for iterations with no resident data have no
+        // further effect; retire their records.
+        for (_, counted) in std::mem::take(&mut self.end_counts) {
+            self.retire(&counted);
+        }
+        // Belt and braces: every held rewrite belongs to an iteration whose
+        // replacement was resident, so the flush-out above should have
+        // drained the map — but never leak a segment on the way out.
+        let held = std::mem::take(&mut self.held_rewrites).into_values().flatten().collect();
+        self.with_ctx(held, None, |epe, ctx| epe.finalize_all(ctx))?;
+        // Last zombie reclamation: nothing of the fenced clients' is held
+        // any more, so their partitions drain completely.
+        self.reclaim_fenced();
+        Ok(())
+    }
+
+    /// Compacts the journal, closes the trace and snapshots the counters.
+    fn finish(mut self) -> NodeReport {
+        let shared = self.shared;
+        shared.journal.compact();
+        // Final drain so records from the tail of the run (and the shutdown
+        // pass itself) reach the histograms and the trace file.
+        self.obs_flush.drain(shared, self.node_id);
+        self.obs_flush.finish(self.node_id);
+
+        let mut report = self.report;
+        report.files_created = shared.backend.files_created();
+        report.bytes_stored = shared.backend.bytes_written();
+        let stats = &shared.stats;
+        report.persist_retries = FaultStats::get(&stats.persist_retries);
+        report.iterations_degraded = FaultStats::get(&stats.iterations_degraded);
+        report.writes_dropped = FaultStats::get(&stats.writes_dropped);
+        report.sync_fallback_writes = FaultStats::get(&stats.sync_fallback_writes);
+        report.plugin_failures = FaultStats::get(&stats.plugin_failures);
+        report.plugins_quarantined = FaultStats::get(&stats.plugins_quarantined);
+        report.recovery_actions = FaultStats::get(&stats.recovery_actions);
+        report.epe_respawns = FaultStats::get(&stats.epe_respawns);
+        report.events_replayed = FaultStats::get(&stats.events_replayed);
+        report.stale_events_rejected = FaultStats::get(&stats.stale_events_rejected);
+        report.heartbeat_stale_observed = FaultStats::get(&stats.heartbeat_stale_observed);
+        report.client_leases_expired = FaultStats::get(&stats.client_leases_expired);
+        report.segments_reclaimed = FaultStats::get(&stats.segments_reclaimed);
+        report.crc_quarantined = FaultStats::get(&stats.crc_quarantined);
+        report.partial_iterations = FaultStats::get(&stats.partial_iterations);
+        report.shm_orphans_removed = FaultStats::get(&stats.shm_orphans_removed);
+        report.shm_orphans_quarantined = FaultStats::get(&stats.shm_orphans_quarantined);
+        report.storage_pressure_degraded = FaultStats::get(&stats.storage_pressure_degraded);
+        report.storage_pressure_readonly = FaultStats::get(&stats.storage_pressure_readonly);
+        report.storage_pressure_recovered = FaultStats::get(&stats.storage_pressure_recovered);
+        report.storage_pressure_sheds = FaultStats::get(&stats.storage_pressure_sheds);
+        report.storage_pressure_gc_bytes = FaultStats::get(&stats.storage_pressure_gc_bytes);
+        report
+    }
 }
 
 /// The dedicated core's between-iteration trace drain: the single

@@ -3,8 +3,9 @@
 //!
 //! Supports arbitrary allocate/release interleavings from any thread, with
 //! coalescing of adjacent free ranges so long-running sessions don't
-//! fragment into uselessness. All sizes are rounded up to [`ALIGN`] so
-//! segments can hold any scalar type without misalignment.
+//! fragment into uselessness. All sizes are rounded up to the ring's
+//! [`RING_ALIGN`] (shared with the partitioned allocator) so segments can
+//! hold any scalar type without misalignment.
 //!
 //! All cross-thread state lives under the one [`crate::sync::Mutex`]; there
 //! is no ordering subtlety here — the lock's release/acquire edges order
@@ -14,11 +15,9 @@
 //! corrupting the free list and handing the bytes out to two owners.
 
 use crate::buffer::{Segment, SharedBuffer};
+use crate::ring::{ring_rounded, RING_ALIGN};
 use crate::sync::{Arc, Mutex};
 use crate::AllocError;
-
-/// Alignment granted to every segment.
-pub const ALIGN: usize = 8;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FreeRange {
@@ -93,7 +92,7 @@ impl MutexAllocator {
     }
 
     fn rounded(len: usize) -> usize {
-        len.div_ceil(ALIGN).max(1) * ALIGN
+        ring_rounded(len as u64) as usize
     }
 
     /// Reserves `len` bytes; the returned segment has exactly `len`
@@ -169,7 +168,7 @@ impl MutexAllocator {
         // An intersection means those bytes are already on the free list —
         // a double release — and continuing would hand the same memory to
         // two future allocations. Zero-length ranges (len 0 never occurs:
-        // `rounded` is >= ALIGN) need no special casing.
+        // `rounded` is >= RING_ALIGN) need no special casing.
         if pos > 0 {
             let prev = state.ranges[pos - 1];
             assert!(
@@ -223,7 +222,7 @@ impl MutexAllocator {
     /// would alias a future allocation).
     pub fn adopt(&self, offset: usize, len: usize) -> Option<Segment> {
         let need = Self::rounded(len);
-        if !offset.is_multiple_of(ALIGN) || offset.checked_add(need)? > self.buffer.capacity() {
+        if !offset.is_multiple_of(RING_ALIGN as usize) || offset.checked_add(need)? > self.buffer.capacity() {
             return None;
         }
         let state = self.state.lock();

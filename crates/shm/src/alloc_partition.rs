@@ -11,44 +11,32 @@
 //!
 //! Reservation is a couple of atomic loads and one release-store — no locks,
 //! no CAS loops — which is exactly why the paper prefers it on the hot path.
-//! When a reservation would straddle the end of the region it skips the
-//! remaining bytes (wrap padding); the padding is recovered at release time
-//! from the segment's position, which the FIFO discipline makes unambiguous.
+//!
+//! The ring protocol itself (rounding, wrap padding, memory orderings) is
+//! [`crate::ring`]; it has two owners of the counters. This allocator keeps
+//! them in a process-private `Vec` for the threaded node, and
+//! [`crate::mapped::MappedNode`] keeps them inside the shared mapping for
+//! the process node, so both topologies run the same code.
 //!
 //! Contract (checked with `debug_assert`s, property tests, and the model
 //! tests in `tests/model.rs`):
 //! * at most one thread calls [`PartitionAllocator::allocate`] per client id
 //!   at a time;
 //! * segments of one client are released in allocation order.
-//!
-//! ## Memory-ordering argument (verified under `--features check`)
-//!
-//! Each counter has a single writer, so its owner may load it `Relaxed`
-//! (it always sees its own latest value) while the *other* side loads it
-//! `Acquire` against the owner's `Release` store. The Acquire on `tail` in
-//! `allocate` is what makes recycling sound: observing `tail = t` means the
-//! consumer finished reading every byte below `t`, so overwriting them
-//! cannot race. Third-party observers (`in_use`) must load `tail` **before**
-//! `head`: both counters are monotonic and `tail <= head` holds at every
-//! instant, so `tail_read <= head_read` follows — loading them in the other
-//! order allowed `tail` to overtake a stale `head` snapshot and the
-//! subtraction to underflow (the bug fixed here, pinned by a model test).
 
 use crate::buffer::{Segment, SharedBuffer};
-use crate::sync::{Arc, AtomicUsize, Ordering};
+use crate::ring::{ring_in_use, ring_reclaim, ring_release, ring_reserve, ring_rounded, RING_ALIGN};
+use crate::sync::{Arc, AtomicU64};
 use crate::AllocError;
-
-/// Alignment granted to every segment (shared with the mutex allocator).
-pub const ALIGN: usize = 8;
 
 #[derive(Debug)]
 struct Region {
     offset: usize,
     len: usize,
     /// Monotonic reserved-bytes counter (owned by the client).
-    head: AtomicUsize,
+    head: AtomicU64,
     /// Monotonic released-bytes counter (owned by the consumer).
-    tail: AtomicUsize,
+    tail: AtomicU64,
 }
 
 /// Lock-free per-client partitioned allocator.
@@ -58,7 +46,7 @@ pub struct PartitionAllocator {
 }
 
 fn rounded(len: usize) -> usize {
-    len.div_ceil(ALIGN).max(1) * ALIGN
+    ring_rounded(len as u64) as usize
 }
 
 impl PartitionAllocator {
@@ -67,13 +55,14 @@ impl PartitionAllocator {
     /// Panics if `clients == 0`.
     pub fn new(buffer: Arc<SharedBuffer>, clients: usize) -> Self {
         assert!(clients > 0, "need at least one client");
-        let region_len = (buffer.capacity() / clients) / ALIGN * ALIGN;
+        let align = RING_ALIGN as usize;
+        let region_len = (buffer.capacity() / clients) / align * align;
         let regions = (0..clients)
             .map(|i| Region {
                 offset: i * region_len,
                 len: region_len,
-                head: AtomicUsize::new(0),
-                tail: AtomicUsize::new(0),
+                head: AtomicU64::new(0),
+                tail: AtomicU64::new(0),
             })
             .collect();
         PartitionAllocator { buffer, regions }
@@ -102,73 +91,24 @@ impl PartitionAllocator {
     /// Bytes currently reserved by `client` (including wrap padding).
     ///
     /// Callable from any thread; returns a consistent instantaneous value
-    /// in `[0, region_capacity()]`.
+    /// in `[0, region_capacity()]` (see [`ring_in_use`]; regression model
+    /// test: `in_use_is_always_consistent` in tests/model.rs).
     pub fn in_use(&self, client: usize) -> usize {
         let r = &self.regions[client];
-        // Seqlock-style consistent snapshot. The original implementation
-        // loaded `head` then `tail` independently, which had TWO races with
-        // a concurrent allocate+release pair: `tail` could overtake a stale
-        // `head` snapshot and the subtraction wrapped to ~usize::MAX, and
-        // symmetrically a fresh `head` against a stale `tail` over-reported
-        // past the region size. Re-reading `tail` around the `head` load
-        // fixes both: `tail` is monotonic, so an unchanged re-read proves
-        // `tail` held that value at the instant `head` was loaded, making
-        // the pair a consistent snapshot where `tail <= head <= tail + len`
-        // holds by the region invariants. Each retry requires the consumer
-        // to have advanced `tail`, so the loop is bounded by the releases
-        // in flight. Regression model test: `in_use_is_always_consistent`
-        // in tests/model.rs.
-        //
-        // Acquire on all three: pairs with the owners' Release stores so
-        // the snapshot is also ordered after the work it covers.
-        let mut tail = r.tail.load(Ordering::Acquire);
-        loop {
-            let head = r.head.load(Ordering::Acquire);
-            let tail_after = r.tail.load(Ordering::Acquire);
-            if tail_after == tail {
-                // Belt and braces: the snapshot argument above rules out
-                // underflow, but saturate so even a future regression
-                // cannot return a garbage count.
-                return head.saturating_sub(tail);
-            }
-            tail = tail_after;
-        }
+        ring_in_use(&r.head, &r.tail) as usize
     }
 
     /// Reserves `len` bytes in `client`'s region.
     ///
     /// Lock-free: two atomic loads + one store on success. Must only be
-    /// called by the single thread owning `client`.
+    /// called by the single thread owning `client`. The segment *data* is
+    /// published by the event queue's release/acquire pair when the handle
+    /// is sent.
     // ANALYZE: hot
     pub fn allocate(&self, client: usize, len: usize) -> Result<Segment, AllocError> {
         let region = self.regions.get(client).ok_or(AllocError::BadClient)?;
-        let need = rounded(len);
-        if need > region.len {
-            return Err(AllocError::TooLarge);
-        }
-        // Relaxed: only this thread writes `head`, so we always see our own
-        // latest value. Acquire on `tail`: pairs with the consumer's Release
-        // in `release`, ordering its reads of the freed bytes before our
-        // overwrite of them.
-        let head = region.head.load(Ordering::Relaxed);
-        let tail = region.tail.load(Ordering::Acquire);
-        // Cannot underflow: the consumer only releases what we allocated,
-        // so tail <= head always holds from the owner's view of head.
-        let used = head - tail;
-        let pos = head % region.len;
-        let (pad, start) = if pos + need <= region.len {
-            (0, pos)
-        } else {
-            (region.len - pos, 0)
-        };
-        if used + pad + need > region.len {
-            return Err(AllocError::Full);
-        }
-        // Release: publishes the reservation to `in_use` observers and the
-        // consumer's debug checks; the segment *data* is published by the
-        // event queue's release/acquire pair when the handle is sent.
-        region.head.store(head + pad + need, Ordering::Release);
-        Ok(self.buffer.segment(region.offset + start, len))
+        let start = ring_reserve(&region.head, &region.tail, region.len as u64, len as u64)?;
+        Ok(self.buffer.segment(region.offset + start as usize, len))
     }
 
     /// Re-creates the handle of a segment that is still reserved in
@@ -213,23 +153,9 @@ impl PartitionAllocator {
             // invariant: segments carry the offset the allocator assigned;
             // a mismatch is caller misuse, not a runtime condition.
             .expect("segment does not belong to this client's region");
-        let need = rounded(segment.len());
+        let len = segment.len();
         drop(segment);
-        // Relaxed: only this (consumer) thread writes `tail`.
-        let tail = region.tail.load(Ordering::Relaxed);
-        let tail_pos = tail % region.len;
-        let pad = (seg_pos + region.len - tail_pos) % region.len;
-        // Acquire: pairs with the client's Release store of `head` so the
-        // FIFO debug check below sees the reservation being released.
-        let head = region.head.load(Ordering::Acquire);
-        debug_assert!(
-            tail + pad + need <= head,
-            "FIFO release violated: tail {tail} pad {pad} need {need} head {head}"
-        );
-        // Release: hands the freed bytes back to the client — pairs with
-        // the Acquire on `tail` in `allocate`, ordering our reads of the
-        // segment data before the client's next overwrite.
-        region.tail.store(tail + pad + need, Ordering::Release);
+        ring_release(&region.head, &region.tail, region.len as u64, seg_pos as u64, len as u64);
     }
 
     /// Reclaims **everything** still reserved in `client`'s region by
@@ -252,22 +178,9 @@ impl PartitionAllocator {
     ///   unreclaimed, so the sweeper calls this again on later fires until
     ///   it returns 0 with `in_use` agreeing.
     pub fn revoke_remaining(&self, client: usize) -> usize {
-        let Some(region) = self.regions.get(client) else {
-            return 0;
-        };
-        // Acquire: pairs with the client's Release store of `head` in
-        // `allocate` — the bytes below `head` we are about to recycle were
-        // fully reserved before we read it.
-        let head = region.head.load(Ordering::Acquire);
-        // Relaxed: only this (consumer) thread writes `tail`.
-        let tail = region.tail.load(Ordering::Relaxed);
-        if head == tail {
-            return 0;
-        }
-        // Release: same pairing as `release` — hands the recycled bytes
-        // back to any future reservation over this region.
-        region.tail.store(head, Ordering::Release);
-        head - tail
+        self.regions
+            .get(client)
+            .map_or(0, |r| ring_reclaim(&r.head, &r.tail) as usize)
     }
 }
 
@@ -281,6 +194,7 @@ impl std::fmt::Debug for PartitionAllocator {
         )
     }
 }
+
 
 // OS-thread + proptest suites don't run under the model checker; the
 // `check` build is exercised by tests/model.rs instead.

@@ -190,19 +190,22 @@ impl<T> MpscQueue<T> {
     /// dedicated core's event loop; in the paper that core is busy-polling
     /// its queue anyway.
     pub fn pop_wait(&self) -> T {
-        self.pop_wait_with(|| {})
+        let Ok(v) = self.pop_wait_with(|| Ok::<(), std::convert::Infallible>(()));
+        v
     }
 
     /// [`pop_wait`](Self::pop_wait), invoking `on_idle` on every empty
-    /// poll. The dedicated core uses this to publish heartbeat beats while
-    /// it waits, so clients can tell "alive but idle" from "dead".
-    pub fn pop_wait_with(&self, mut on_idle: impl FnMut()) -> T {
+    /// poll; an error from `on_idle` ends the wait. The dedicated core
+    /// uses this to publish heartbeat beats (so clients can tell "alive
+    /// but idle" from "dead") and to run its idle maintenance while it
+    /// waits.
+    pub fn pop_wait_with<E>(&self, mut on_idle: impl FnMut() -> Result<(), E>) -> Result<T, E> {
         let mut spins = 0u32;
         loop {
             if let Some(v) = self.pop() {
-                return v;
+                return Ok(v);
             }
-            on_idle();
+            on_idle()?;
             spins += 1;
             if spins < 64 {
                 spin_loop();

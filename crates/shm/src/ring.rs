@@ -1,23 +1,36 @@
-//! The partition-ring protocol over *bare words* — the cross-process twin
-//! of [`crate::PartitionAllocator`].
+//! The partition-ring protocol over *bare words*: the one implementation
+//! of the paper's per-client lock-free reservation ring (§III-B).
 //!
-//! `PartitionAllocator` keeps each region's `head`/`tail` counters in a
-//! process-private `Vec<Region>`; that is fine while all cores are threads
-//! of one process, but the cross-process node needs the counters to live
-//! **inside the shared mapping** so that a client's reservation survives
-//! the EPE being `kill -9`'d (and vice versa). These free functions are
-//! that protocol, factored out of the allocator so it can run over any
-//! pair of facade [`AtomicU64`]s — heap-allocated in the model tests
-//! (`tests/model.rs`, `--features check`), mapped words in the real
-//! cross-process node ([`crate::mapped`]).
+//! Each ring is a pair of monotonic counters — `head` (bytes ever
+//! reserved, written only by the owning client) and `tail` (bytes ever
+//! released, written only by the consumer, in FIFO order) — and these free
+//! functions run the protocol over any pair of facade [`AtomicU64`]s. The
+//! counters have two owners:
 //!
-//! Semantics are identical to `PartitionAllocator` (same rounding, same
-//! wrap padding recovered at release from FIFO position, same monotonic
-//! counters) and the memory-ordering argument is the same single-writer
-//! discipline documented there: `head` is written only by the owning
-//! client, `tail` only by the consumer; each owner loads its own counter
-//! `Relaxed` and the other side's `Acquire` against the owner's `Release`
-//! store.
+//! * [`crate::PartitionAllocator`] keeps them in a process-private `Vec`,
+//!   for the threaded node whose cores are threads of one process;
+//! * [`crate::mapped::MappedNode`] keeps them **inside the shared
+//!   mapping**, so a client's reservation survives the EPE process being
+//!   `kill -9`'d (and vice versa).
+//!
+//! Both topologies therefore share rounding, wrap padding (skipped at
+//! reserve time, recovered at release from the FIFO position) and memory
+//! orderings, and the model tests (`tests/model.rs`, `--features check`)
+//! explore this code whichever owner they drive.
+//!
+//! ## Memory-ordering argument (verified under `--features check`)
+//!
+//! Each counter has a single writer, so its owner may load it `Relaxed`
+//! (it always sees its own latest value) while the *other* side loads it
+//! `Acquire` against the owner's `Release` store. The Acquire on `tail` in
+//! [`ring_reserve`] is what makes recycling sound: observing `tail = t`
+//! means the consumer finished reading every byte below `t`, so
+//! overwriting them cannot race. Third-party observers ([`ring_in_use`])
+//! must load `tail` **before** `head`: both counters are monotonic and
+//! `tail <= head` holds at every instant, so `tail_read <= head_read`
+//! follows — loading them in the other order allowed `tail` to overtake a
+//! stale `head` snapshot and the subtraction to underflow (pinned by a
+//! model test).
 
 use crate::sync::{AtomicU64, Ordering};
 use crate::AllocError;
@@ -26,6 +39,7 @@ use crate::AllocError;
 pub const RING_ALIGN: u64 = 8;
 
 /// Rounds a byte length up to the ring granularity (min one unit).
+#[inline]
 pub fn ring_rounded(len: u64) -> u64 {
     len.div_ceil(RING_ALIGN).max(1) * RING_ALIGN
 }
@@ -34,8 +48,9 @@ pub fn ring_rounded(len: u64) -> u64 {
 /// of the reservation **within the region** (the caller adds the region's
 /// base offset). Must only be called by the single owner of `head`.
 ///
-/// Lock-free: two loads + one store, like `PartitionAllocator::allocate`.
+/// Lock-free: two loads + one store.
 // ANALYZE: hot
+#[inline]
 pub fn ring_reserve(
     head: &AtomicU64,
     tail: &AtomicU64,
@@ -71,8 +86,8 @@ pub fn ring_reserve(
 /// byte offset `ring_reserve` returned, `len` the requested length. Must
 /// be called in reservation order (FIFO) and only by the single owner of
 /// `tail`. Wrap padding between the current tail and the reservation
-/// start is reclaimed automatically, exactly like
-/// `PartitionAllocator::release`.
+/// start is reclaimed automatically.
+#[inline]
 pub fn ring_release(head: &AtomicU64, tail: &AtomicU64, cap: u64, seg_pos: u64, len: u64) {
     let need = ring_rounded(len);
     // Relaxed: only this (consumer) side writes `tail`.
@@ -84,7 +99,7 @@ pub fn ring_release(head: &AtomicU64, tail: &AtomicU64, cap: u64, seg_pos: u64, 
     let h = head.load(Ordering::Acquire);
     debug_assert!(
         t + pad + need <= h,
-        "FIFO ring release violated: tail {t} pad {pad} need {need} head {h}"
+        "FIFO release violated: tail {t} pad {pad} need {need} head {h}"
     );
     // Release: hands the freed bytes back to the client — pairs with the
     // Acquire on `tail` in `ring_reserve`.
@@ -93,9 +108,9 @@ pub fn ring_release(head: &AtomicU64, tail: &AtomicU64, cap: u64, seg_pos: u64, 
 
 /// Reclaims everything still reserved by advancing `tail` to `head`;
 /// returns the bytes reclaimed (including wrap padding). The consumer's
-/// terminal sweep for a fenced client — same contract as
-/// `PartitionAllocator::revoke_remaining`: the owner's lease must already
-/// be revoked, and the sweeper re-runs this until it returns 0.
+/// terminal sweep for a fenced client: the owner's lease must already be
+/// revoked, and the sweeper re-runs this until it returns 0 (see
+/// `PartitionAllocator::revoke_remaining` for the full contract).
 pub fn ring_reclaim(head: &AtomicU64, tail: &AtomicU64) -> u64 {
     // Acquire: the bytes below `head` were fully reserved before we read it.
     let h = head.load(Ordering::Acquire);
@@ -110,10 +125,13 @@ pub fn ring_reclaim(head: &AtomicU64, tail: &AtomicU64) -> u64 {
 }
 
 /// Bytes currently reserved (including wrap padding), observable from any
-/// process. Seqlock-style consistent snapshot — same two-race argument as
-/// `PartitionAllocator::in_use` (re-reading the monotonic `tail` around
-/// the `head` load proves the pair consistent, so the subtraction can
-/// neither underflow nor over-report).
+/// process. Seqlock-style consistent snapshot: loading `head` and `tail`
+/// independently races with a concurrent reserve + release pair — `tail`
+/// can overtake a stale `head` snapshot (underflow) or a fresh `head` can
+/// meet a stale `tail` (over-report past the region size). Re-reading the
+/// monotonic `tail` around the `head` load proves the pair consistent;
+/// each retry needs the consumer to have advanced `tail`, so the loop is
+/// bounded by the releases in flight.
 pub fn ring_in_use(head: &AtomicU64, tail: &AtomicU64) -> u64 {
     // Acquire on all three: pairs with the owners' Release stores so the
     // snapshot is ordered after the work it covers.
