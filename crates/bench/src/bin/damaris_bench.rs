@@ -60,6 +60,7 @@
 //! the runner; the JSON exists so regressions show up in review diffs.
 
 use damaris_core::{Config, NodeRuntime};
+use damaris_obs::analyze::nearest_rank;
 use damaris_shm::sync::AtomicU64;
 use damaris_shm::{ring, MpscQueue, PartitionAllocator, SharedBuffer};
 use serde_json::json;
@@ -117,11 +118,6 @@ fn write_latencies() -> Vec<u64> {
     runtime.finish().expect("clean shutdown");
     std::fs::remove_dir_all(&dir).ok();
     samples.into_inner().expect("samples lock")
-}
-
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 /// Partition-allocator allocate+release round-trips from one client.
@@ -309,11 +305,7 @@ fn query_mixed_load() -> QueryPhase {
     } else {
         0.0
     };
-    let p99_latency_ns = if latencies.is_empty() {
-        0
-    } else {
-        percentile(&latencies, 0.99)
-    };
+    let p99_latency_ns = nearest_rank(&latencies, 99, 100);
     std::fs::remove_dir_all(&dir).ok();
     QueryPhase {
         qps,
@@ -500,8 +492,8 @@ fn main() {
 
     let mut lat = write_latencies();
     lat.sort_unstable();
-    let p50 = percentile(&lat, 0.50);
-    let p99 = percentile(&lat, 0.99);
+    let p50 = nearest_rank(&lat, 50, 100);
+    let p99 = nearest_rank(&lat, 99, 100);
     let (alloc_ops, alloc_bytes) = allocator_throughput();
     let queue_ops = queue_throughput();
     let (heap_ops, heap_bytes) = backing_heap();

@@ -26,8 +26,7 @@
 
 use crate::config::BackpressurePolicy;
 use crate::error::DamarisError;
-use crate::event::Event;
-use crate::journal::JournalPayload;
+use crate::event::Note;
 use crate::node::{FaultStats, NodeShared};
 use crate::retry::Backoff;
 use damaris_obs::{EventKind, Recorder};
@@ -383,49 +382,20 @@ impl DamarisClient {
         Ok(())
     }
 
-    /// Journals a write-notification (before the queue push) and returns
-    /// its sequence number. `data_crc` is the CRC-32 over the payload's
-    /// source bytes — the end-to-end checksum the persist plugin verifies
-    /// against the segment before anything reaches a backend. Fails with
-    /// [`DamarisError::ClientFenced`] once the sweeper has fenced this
-    /// client; the caller must abandon the segment without releasing it.
-    fn journal_write(
-        &self,
-        variable_id: u32,
-        iteration: u32,
-        segment: &Segment,
-        dynamic_layout: Option<&damaris_format::Layout>,
-        data_crc: u32,
-    ) -> Result<u64, DamarisError> {
-        self.shared
-            .journal
-            .append(
-                self.shared.heartbeat.epoch(),
-                JournalPayload::Write {
-                    variable_id,
-                    iteration,
-                    source: self.id,
-                    offset: segment.offset(),
-                    len: segment.len(),
-                    dynamic_layout: dynamic_layout.cloned(),
-                    data_crc,
-                },
-            )
-            .map_err(|_| self.fenced_err())
-    }
-
-    /// Tail of the static-layout write path — memcpy into the segment,
-    /// lock-free journal append ([`crate::journal::EventJournal::append_write`]),
-    /// queue notification — each under its trace span. The spans chain:
-    /// `t` is the previous span's end timestamp, and the return value is
-    /// the last span's end, so the whole tail costs three clock reads
-    /// instead of six.
+    /// Tail of both write paths — source checksum, memcpy into the
+    /// segment, then [`NodeShared::notify`] (journal append, queue push) —
+    /// each under its trace span. The spans chain: `t` is the previous
+    /// span's end timestamp, and the return value is the last span's end,
+    /// so the whole tail costs four clock reads instead of eight. A static
+    /// write (`dynamic_layout: None`) journals lock-free; a dynamic one
+    /// takes the journal's mutex path (its layout allocates regardless).
     // ANALYZE: hot
-    fn copy_and_notify_static(
+    fn copy_and_notify(
         &self,
         variable_id: u32,
         iteration: u32,
         mut segment: Segment,
+        dynamic_layout: Option<damaris_format::Layout>,
         data: &[u8],
         t: u64,
     ) -> Result<u64, DamarisError> {
@@ -433,85 +403,24 @@ impl DamarisClient {
         // killed mid-`memcpy`), the journaled checksum still describes the
         // intended payload, so the torn segment can never match it.
         let data_crc = damaris_format::crc32(data);
+        let t = self
+            .rec
+            .end(EventKind::Checksum, iteration, data.len() as u64, t);
         segment.copy_from_slice(data);
         let t = self
             .rec
             .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        let seq = match self.shared.journal.append_write(
-            self.shared.heartbeat.epoch(),
-            variable_id,
-            iteration,
-            self.id,
-            segment.offset(),
-            segment.len(),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(_) => {
-                // Fenced mid-write: this client may neither notify nor
-                // release. Dropping the handle leaves the bytes reserved;
-                // the sweeper's `revoke_remaining` reclaims them.
-                drop(segment);
-                return Err(self.fenced_err());
-            }
-        };
-        let t = self.rec.end(EventKind::JournalAppend, iteration, 0, t);
-        self.shared.queue.push_wait(Event::Write {
+        let note = Note::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
-            dynamic_layout: None,
-            seq,
+            dynamic_layout,
             data_crc,
-        });
-        Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
-    }
-
-    /// Tail of the dynamic-shape write path: same steps as
-    /// [`copy_and_notify_static`](Self::copy_and_notify_static), but the
-    /// per-write layout travels with the record, which makes the journal
-    /// append take the mutex path (it allocates regardless).
-    fn copy_and_notify_dynamic(
-        &self,
-        variable_id: u32,
-        iteration: u32,
-        mut segment: Segment,
-        dynamic_layout: damaris_format::Layout,
-        data: &[u8],
-        t: u64,
-    ) -> Result<u64, DamarisError> {
-        // See copy_and_notify_static: checksum the source, then copy.
-        let data_crc = damaris_format::crc32(data);
-        segment.copy_from_slice(data);
-        let t = self
-            .rec
-            .end(EventKind::Memcpy, iteration, data.len() as u64, t);
-        let seq = match self.journal_write(
-            variable_id,
-            iteration,
-            &segment,
-            Some(&dynamic_layout),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(e) => {
-                // Fenced mid-write: abandon the segment for the sweeper.
-                drop(segment);
-                return Err(e);
-            }
         };
-        let t = self.rec.end(EventKind::JournalAppend, iteration, 0, t);
-        self.shared.queue.push_wait(Event::Write {
-            variable_id,
-            iteration,
-            source: self.id,
-            segment,
-            dynamic_layout: Some(dynamic_layout),
-            seq,
-            data_crc,
-        });
-        Ok(self.rec.end(EventKind::QueuePush, iteration, 0, t))
+        self.shared
+            .notify(&self.rec, t, note)
+            .map_err(|_| self.fenced_err())
     }
 
     /// `df_write`: copies `data` into shared memory and notifies the
@@ -527,7 +436,7 @@ impl DamarisClient {
         // One timestamp opens both the WriteCall and AllocWait spans (the
         // nanoscale name lookup rides inside AllocWait); the inner spans
         // chain end-to-start from here, so a fully traced write costs six
-        // clock reads, not ten.
+        // clock reads, not twelve.
         let t_call = self.rec.begin();
         let (variable_id, expected) = self.lookup(variable)?;
         if data.len() as u64 != expected {
@@ -550,7 +459,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_static(variable_id, iteration, segment, data, t)?;
+        let t_end = self.copy_and_notify(variable_id, iteration, segment, None, data, t)?;
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -592,7 +501,7 @@ impl DamarisClient {
         let t = self
             .rec
             .end(EventKind::AllocWait, iteration, data.len() as u64, t_call);
-        let t_end = self.copy_and_notify_dynamic(variable_id, iteration, segment, layout, data, t)?;
+        let t_end = self.copy_and_notify(variable_id, iteration, segment, Some(layout), data, t)?;
         self.rec
             .span_at(EventKind::WriteCall, iteration, data.len() as u64, t_call, t_end);
         Ok(())
@@ -657,24 +566,14 @@ impl DamarisClient {
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat.epoch(),
-                JournalPayload::User {
-                    name: event.to_string(),
-                    iteration,
-                    source: self.id,
-                },
-            )
-            .map_err(|_| self.fenced_err())?;
-        self.shared.queue.push_wait(Event::User {
+        let note = Note::User {
             name: event.to_string(),
             iteration,
             source: self.id,
-            seq,
-        });
+        };
+        self.shared
+            .notify(&self.rec, self.rec.begin(), note)
+            .map_err(|_| self.fenced_err())?;
         Ok(())
     }
 
@@ -683,22 +582,13 @@ impl DamarisClient {
     /// default) fire on the dedicated core.
     pub fn end_iteration(&self, iteration: u32) -> Result<(), DamarisError> {
         self.renew_lease()?;
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat.epoch(),
-                JournalPayload::EndIteration {
-                    iteration,
-                    source: self.id,
-                },
-            )
-            .map_err(|_| self.fenced_err())?;
-        self.shared.queue.push_wait(Event::EndIteration {
+        let note = Note::EndIteration {
             iteration,
             source: self.id,
-            seq,
-        });
+        };
+        self.shared
+            .notify(&self.rec, self.rec.begin(), note)
+            .map_err(|_| self.fenced_err())?;
         Ok(())
     }
 
@@ -744,16 +634,17 @@ impl DamarisClient {
         // Only the first half of the payload lands before the "kill".
         let torn = data.len() / 2;
         segment.as_mut_slice()[..torn].copy_from_slice(&data[..torn]);
-        let seq = self.journal_write(variable_id, iteration, &segment, None, data_crc)?;
-        self.shared.queue.push_wait(Event::Write {
+        let note = Note::Write {
             variable_id,
             iteration,
             source: self.id,
             segment,
             dynamic_layout: None,
-            seq,
             data_crc,
-        });
+        };
+        self.shared
+            .notify(&self.rec, self.rec.begin(), note)
+            .map_err(|_| self.fenced_err())?;
         Ok(())
     }
 }
@@ -804,41 +695,28 @@ impl AllocatedRegion {
     pub fn commit(mut self) -> Result<(), DamarisError> {
         // invariant: `commit` consumes self, so the segment is present.
         let segment = self.segment.take().expect("commit called once");
-        let rec = &self.client.rec;
-        let t = rec.begin();
+        let client = &self.client;
+        let t = client.rec.begin();
         // The zero-copy path produced directly in shared memory, so the
         // segment *is* the source: checksum what was actually committed.
         let data_crc = damaris_format::crc32(segment.as_slice());
-        // Zero-copy commits are static-layout by construction: take the
-        // same lock-free journal path as `write`.
-        let seq = match self.client.shared.journal.append_write(
-            self.client.shared.heartbeat.epoch(),
-            self.variable_id,
-            self.iteration,
-            self.client.id,
-            segment.offset(),
-            segment.len(),
-            data_crc,
-        ) {
-            Ok(seq) => seq,
-            Err(_) => {
-                // Fenced: may neither notify nor release — the sweeper's
-                // `revoke_remaining` reclaims the bytes.
-                drop(segment);
-                return Err(self.client.fenced_err());
-            }
-        };
-        let t = rec.end(EventKind::JournalAppend, self.iteration, 0, t);
-        self.client.shared.queue.push_wait(Event::Write {
+        let t = client
+            .rec
+            .end(EventKind::Checksum, self.iteration, segment.len() as u64, t);
+        // Zero-copy commits are static-layout by construction: the same
+        // lock-free journal path as `write`.
+        let note = Note::Write {
             variable_id: self.variable_id,
             iteration: self.iteration,
-            source: self.client.id,
+            source: client.id,
             segment,
             dynamic_layout: None,
-            seq,
             data_crc,
-        });
-        rec.end(EventKind::QueuePush, self.iteration, 0, t);
+        };
+        client
+            .shared
+            .notify(&client.rec, t, note)
+            .map_err(|_| client.fenced_err())?;
         Ok(())
     }
 }
@@ -856,24 +734,13 @@ impl Drop for AllocatedRegion {
         // the segment to the server, which releases it in sequence order
         // at this iteration's flush.
         let client = &self.client;
-        match client.shared.journal.append(
-            client.shared.heartbeat.epoch(),
-            JournalPayload::Abandon {
-                iteration: self.iteration,
-                source: client.id,
-                offset: segment.offset(),
-                len: segment.len(),
-            },
-        ) {
-            Ok(seq) => client.shared.queue.push_wait(Event::Abandon {
-                iteration: self.iteration,
-                source: client.id,
-                segment,
-                seq,
-            }),
-            // Fenced while holding the region: drop the handle and let the
-            // sweeper's `revoke_remaining` reclaim the bytes.
-            Err(_) => drop(segment),
-        }
+        let note = Note::Abandon {
+            iteration: self.iteration,
+            source: client.id,
+            segment,
+        };
+        // Fenced while holding the region: the note drops un-pushed and
+        // the sweeper's `revoke_remaining` reclaims the bytes.
+        let _ = client.shared.notify(&client.rec, client.rec.begin(), note);
     }
 }

@@ -1,19 +1,37 @@
-//! Events flowing through the node's shared queue (paper §III-B).
+//! Notifications from a client to the dedicated core (paper §III-B).
 //!
-//! A write-notification carries the shared-memory [`Segment`] itself: the
-//! queue's release/acquire handoff is exactly what makes the zero-copy
-//! transfer sound (the client's writes happen-before the server's reads).
+//! One [`Note`] type is the minimal descriptor a client posts: it is both
+//! the record the write-ahead [`crate::journal::EventJournal`] keeps and
+//! the message the shared queue carries. The two differ only in how they
+//! hold a note's shared-memory segment:
 //!
-//! Every client-originated event also carries the sequence number assigned
-//! by the node's write-ahead [`crate::journal::EventJournal`]. The journal
-//! entry is appended *before* the queue push, so a restarted dedicated
-//! core can replay events the dead one never finished, and reject the
-//! stale queue copies when they eventually pop (`claim` arbitration).
+//! * the journal keeps a [`Note<Span>`] — the segment's coordinates, so a
+//!   respawned dedicated core can re-adopt it from the allocator;
+//! * the queue carries a [`Note<Segment>`] — the live handle, whose
+//!   release/acquire handoff through the queue is what makes the zero-copy
+//!   transfer sound (the client's writes happen-before the server's reads).
+//!
+//! [`Note::map_segment`] is the only bridge between the two. Every client
+//! note is journaled *before* it is pushed, and the queue [`Event`] carries
+//! the journal's sequence number, so a restarted dedicated core can replay
+//! notes the dead one never finished and reject the stale queue copies when
+//! they eventually pop (`claim` arbitration).
 
+use damaris_format::Layout;
 use damaris_shm::Segment;
 
-/// One message from a client to the dedicated core.
-pub enum Event {
+/// Where a segment lies in the shared buffer: what the journal keeps of a
+/// note's segment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Span {
+    pub offset: usize,
+    pub len: usize,
+}
+
+/// What a client tells the dedicated core, with its segment (if any)
+/// held as `S`: a [`Segment`] on the queue, a [`Span`] in the journal.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Note<S> {
     /// A variable instance was written to shared memory.
     Write {
         /// Declaration-order id of the variable (name lives in the config,
@@ -24,108 +42,120 @@ pub enum Event {
         /// Client id within the node (the paper's `source`).
         source: u32,
         /// The reserved segment containing the payload.
-        segment: Segment,
+        segment: S,
         /// Per-write shape for dynamic variables (particle arrays, §III-D);
         /// `None` for statically-declared layouts.
-        dynamic_layout: Option<damaris_format::Layout>,
-        /// Write-ahead journal sequence number.
-        seq: u64,
+        dynamic_layout: Option<Layout>,
         /// CRC-32 the client computed over its source bytes before the
         /// `memcpy`; the persist plugin re-computes it over the segment to
         /// quarantine torn shm writes end-to-end.
         data_crc: u32,
     },
-    /// A user-defined event (`df_signal`).
+    /// A user-defined event (`df_signal`). The name is small and
+    /// infrequent, so sending it keeps the API simple (the configuration
+    /// holds the bindings).
     User {
-        /// Event name — small and infrequent, so sending the name itself
-        /// keeps the API simple (the configuration holds the bindings).
         name: String,
         iteration: u32,
         source: u32,
-        /// Write-ahead journal sequence number.
-        seq: u64,
     },
     /// The client finished an iteration; when every client of the node has
     /// sent this, iteration-scoped actions fire.
-    EndIteration {
-        iteration: u32,
-        source: u32,
-        /// Write-ahead journal sequence number.
-        seq: u64,
-    },
-    /// A client abandoned an allocated-but-never-committed region: the
-    /// segment travels to the dedicated core, which releases it in FIFO
-    /// order at the owning iteration's flush (clients must never release
-    /// shared memory themselves — partition reclamation is single-consumer).
+    EndIteration { iteration: u32, source: u32 },
+    /// A client abandoned an allocated-but-never-committed region
+    /// (`dc_alloc` handle dropped without `commit`). Clients must never
+    /// release shared memory themselves — partition reclamation is FIFO
+    /// and single-consumer — so the segment travels to the dedicated core,
+    /// which releases it in order at the owning iteration's flush.
     Abandon {
         iteration: u32,
         source: u32,
-        segment: Segment,
-        /// Write-ahead journal sequence number.
-        seq: u64,
+        segment: S,
     },
-    /// The runtime is shutting down; the server drains and exits.
-    Terminate,
 }
 
-impl Event {
-    /// The journal sequence number, if this event kind is journaled.
-    pub fn seq(&self) -> Option<u64> {
+impl<S> Note<S> {
+    /// The client that sent this note.
+    pub fn source(&self) -> u32 {
         match self {
-            Event::Write { seq, .. }
-            | Event::User { seq, .. }
-            | Event::EndIteration { seq, .. }
-            | Event::Abandon { seq, .. } => Some(*seq),
-            Event::Terminate => None,
+            Note::Write { source, .. }
+            | Note::User { source, .. }
+            | Note::EndIteration { source, .. }
+            | Note::Abandon { source, .. } => *source,
         }
     }
-}
 
-impl std::fmt::Debug for Event {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+    /// The simulation step this note belongs to.
+    pub fn iteration(&self) -> u32 {
         match self {
-            Event::Write {
+            Note::Write { iteration, .. }
+            | Note::User { iteration, .. }
+            | Note::EndIteration { iteration, .. }
+            | Note::Abandon { iteration, .. } => *iteration,
+        }
+    }
+
+    /// The same note with its segment held another way: `f` converts the
+    /// segment of a `Write` or `Abandon` (the other kinds carry none), and
+    /// its error aborts the conversion. Clones a name or dynamic layout,
+    /// so the write fast path never calls it.
+    pub fn map_segment<T, E>(&self, f: impl FnOnce(&S) -> Result<T, E>) -> Result<Note<T>, E> {
+        Ok(match self {
+            Note::Write {
                 variable_id,
                 iteration,
                 source,
                 segment,
-                seq,
-                ..
-            } => write!(
-                f,
-                "Write{{var={variable_id}, it={iteration}, src={source}, seq={seq}, {segment:?}}}"
-            ),
-            Event::User {
+                dynamic_layout,
+                data_crc,
+            } => Note::Write {
+                variable_id: *variable_id,
+                iteration: *iteration,
+                source: *source,
+                segment: f(segment)?,
+                dynamic_layout: dynamic_layout.clone(),
+                data_crc: *data_crc,
+            },
+            Note::User {
                 name,
                 iteration,
                 source,
-                seq,
-            } => write!(f, "User{{'{name}', it={iteration}, src={source}, seq={seq}}}"),
-            Event::EndIteration {
-                iteration,
-                source,
-                seq,
-            } => {
-                write!(f, "EndIteration{{it={iteration}, src={source}, seq={seq}}}")
-            }
-            Event::Abandon {
+            } => Note::User {
+                name: name.clone(),
+                iteration: *iteration,
+                source: *source,
+            },
+            Note::EndIteration { iteration, source } => Note::EndIteration {
+                iteration: *iteration,
+                source: *source,
+            },
+            Note::Abandon {
                 iteration,
                 source,
                 segment,
-                seq,
-            } => write!(
-                f,
-                "Abandon{{it={iteration}, src={source}, seq={seq}, {segment:?}}}"
-            ),
-            Event::Terminate => write!(f, "Terminate"),
-        }
+            } => Note::Abandon {
+                iteration: *iteration,
+                source: *source,
+                segment: f(segment)?,
+            },
+        })
     }
+}
+
+/// One message on the node's shared queue.
+#[derive(Debug)]
+pub enum Event {
+    /// A client note, tagged with its write-ahead journal sequence number.
+    Note { seq: u64, note: Note<Segment> },
+    /// The runtime is shutting down; the server drains and exits.
+    Terminate,
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use damaris_shm::MutexAllocator;
+    use std::convert::Infallible;
 
     #[test]
     fn events_traverse_the_shared_queue() {
@@ -133,32 +163,36 @@ mod tests {
         let queue = damaris_shm::MpscQueue::<Event>::new(8);
         let mut seg = alloc.allocate(16).unwrap();
         seg.copy_from_slice(&[7u8; 16]);
+        let write = Note::Write {
+            variable_id: 3,
+            iteration: 1,
+            source: 0,
+            segment: seg,
+            dynamic_layout: None,
+            data_crc: damaris_format::crc32(&[7u8; 16]),
+        };
         queue
-            .push(Event::Write {
-                variable_id: 3,
-                iteration: 1,
-                source: 0,
-                segment: seg,
-                dynamic_layout: None,
+            .push(Event::Note {
                 seq: 0,
-                data_crc: damaris_format::crc32(&[7u8; 16]),
+                note: write,
             })
             .ok()
             .unwrap();
-        queue
-            .push(Event::User {
-                name: "snapshot".into(),
-                iteration: 1,
-                source: 0,
-                seq: 1,
-            })
-            .ok()
-            .unwrap();
+        let user = Note::User {
+            name: "snapshot".into(),
+            iteration: 1,
+            source: 0,
+        };
+        queue.push(Event::Note { seq: 1, note: user }).ok().unwrap();
         match queue.pop().unwrap() {
-            Event::Write {
-                variable_id,
-                segment,
-                ..
+            Event::Note {
+                seq: 0,
+                note:
+                    Note::Write {
+                        variable_id,
+                        segment,
+                        ..
+                    },
             } => {
                 assert_eq!(variable_id, 3);
                 assert_eq!(segment.as_slice(), &[7u8; 16]);
@@ -166,19 +200,44 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
-        assert!(matches!(queue.pop().unwrap(), Event::User { .. }));
+        assert!(matches!(
+            queue.pop().unwrap(),
+            Event::Note {
+                seq: 1,
+                note: Note::User { .. }
+            }
+        ));
     }
 
     #[test]
-    fn debug_formatting() {
-        let e = Event::EndIteration {
+    fn map_segment_converts_only_the_segment() {
+        let note = Note::Abandon {
             iteration: 4,
             source: 2,
-            seq: 9,
+            segment: Span { offset: 64, len: 8 },
         };
-        assert_eq!(format!("{e:?}"), "EndIteration{it=4, src=2, seq=9}");
-        assert_eq!(format!("{:?}", Event::Terminate), "Terminate");
-        assert_eq!(e.seq(), Some(9));
-        assert_eq!(Event::Terminate.seq(), None);
+        assert_eq!((note.iteration(), note.source()), (4, 2));
+        let Ok(moved) = note.map_segment(|s| Ok::<_, Infallible>(s.offset + s.len));
+        assert_eq!(
+            moved,
+            Note::Abandon {
+                iteration: 4,
+                source: 2,
+                segment: 72
+            }
+        );
+        // A failed conversion drops the note; segment-free kinds never call `f`.
+        assert_eq!(note.map_segment(|_| Err::<(), _>("gone")), Err("gone"));
+        let end: Note<Span> = Note::EndIteration {
+            iteration: 4,
+            source: 2,
+        };
+        assert_eq!(
+            end.map_segment(|_| Err::<(), _>("unused")),
+            Ok(Note::EndIteration {
+                iteration: 4,
+                source: 2
+            })
+        );
     }
 }

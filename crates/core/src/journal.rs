@@ -6,9 +6,10 @@
 //! end-of-iteration counts — dies with its stack. The journal is what lets
 //! a respawned server reconstruct that state:
 //!
-//! * every client-originated event (`Write`, `User`, `EndIteration`) is
-//!   appended here **before** it is pushed onto the queue, carrying the
-//!   assigned sequence number in the event itself;
+//! * every client [`Note`] is appended here **before** it is pushed onto
+//!   the queue, as a `Note<Span>` (the segment's coordinates instead of
+//!   its live handle); the queue [`crate::event::Event`] carries the same
+//!   note and the assigned sequence number;
 //! * the server *claims* each sequence number as it pops the event
 //!   ([`EventJournal::claim`]), and marks it *applied* once its side
 //!   effects are durable (segment released, iteration fired);
@@ -36,70 +37,18 @@
 //!
 //! The overwhelmingly common record — a static-layout `Write` from a
 //! low-numbered source — never touches the mutex or the heap on append:
-//! it is staged as a fixed-size [`FixedWriteRecord`] in a lock-free slab
+//! it is staged as a fixed-size `FixedWriteRecord` in a lock-free slab
 //! and folded into the `BTreeMap` by whichever mutex entry point runs
 //! next (`claim` on the dedicated core's pop, `fence`, `replay_snapshot`,
 //! …). Appends and fences race by design; the slab's publish/recheck
 //! protocol (see [`EventJournal::append_write`]) guarantees a fenced
 //! source's staged record is either collected by the fence or cancelled
-//! by the appender — never silently retained.
+//! by the appender — never silently retained. Both paths stamp the header
+//! CRC with the one `header_crc`.
 
-use damaris_format::Layout;
+use crate::event::{Note, Span};
 use damaris_shm::sync::{AtomicU64, Mutex, Ordering, ShmCell};
 use std::collections::{BTreeMap, BTreeSet};
-
-/// What a journaled notification said, minus the live [`damaris_shm::Segment`]
-/// handle (the journal stores the segment's coordinates so a new server
-/// can re-adopt it from the allocator).
-#[derive(Debug, Clone)]
-pub enum JournalPayload {
-    /// A write-notification: `offset`/`len` locate the payload in the
-    /// shared buffer for re-adoption after a crash; `data_crc` is the
-    /// CRC-32 the client computed over its *source* bytes before the
-    /// `memcpy`, verified end-to-end by the persist plugin so a torn shm
-    /// copy (rank dying mid-`memcpy`) is quarantined instead of persisted.
-    Write {
-        variable_id: u32,
-        iteration: u32,
-        source: u32,
-        offset: usize,
-        len: usize,
-        dynamic_layout: Option<Layout>,
-        data_crc: u32,
-    },
-    /// A user-defined event (`df_signal`).
-    User {
-        name: String,
-        iteration: u32,
-        source: u32,
-    },
-    /// A client's end-of-iteration notification.
-    EndIteration { iteration: u32, source: u32 },
-    /// A client abandoned an allocated-but-never-committed region
-    /// (`dc_alloc` handle dropped without `commit`). The owning client may
-    /// not release shared memory itself — partition-mode reclamation is
-    /// FIFO and single-consumer — so it journals the segment's coordinates
-    /// and the dedicated core releases it in order at the iteration's
-    /// flush.
-    Abandon {
-        iteration: u32,
-        source: u32,
-        offset: usize,
-        len: usize,
-    },
-}
-
-impl JournalPayload {
-    /// The client that originated this notification.
-    pub fn source(&self) -> u32 {
-        match self {
-            JournalPayload::Write { source, .. }
-            | JournalPayload::User { source, .. }
-            | JournalPayload::EndIteration { source, .. }
-            | JournalPayload::Abandon { source, .. } => *source,
-        }
-    }
-}
 
 /// [`EventJournal::append`] rejected the record: the source has been
 /// fenced by the lease sweeper and may no longer journal notifications.
@@ -128,9 +77,9 @@ pub struct JournalRecord {
     /// Heartbeat epoch of the *appending* side at append time (0 for
     /// clients started before any respawn). Diagnostic only.
     pub epoch: u32,
-    /// CRC-32 over the encoded header; verified at replay.
+    /// `header_crc` at append; verified at replay.
     pub crc: u32,
-    pub payload: JournalPayload,
+    pub note: Note<Span>,
     pub state: RecordState,
 }
 
@@ -149,7 +98,7 @@ pub enum Claim {
 pub struct ReplayEntry {
     pub seq: u64,
     pub state: RecordState,
-    pub payload: JournalPayload,
+    pub note: Note<Span>,
 }
 
 #[derive(Debug, Default)]
@@ -187,20 +136,31 @@ fn pack(tag: u64, seq: u64) -> u64 {
 }
 
 /// The fixed-size, heap-free image of a static-layout `Write` record —
-/// everything [`JournalPayload::Write`] carries except `dynamic_layout`
-/// (dynamic writes take the mutex path; they allocate regardless).
-#[repr(C)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FixedWriteRecord {
-    pub variable_id: u32,
-    pub iteration: u32,
-    pub source: u32,
-    pub data_crc: u32,
-    pub offset: u64,
-    pub len: u64,
-    pub epoch: u32,
-    /// Header CRC, computed at append over [`encode_fixed_write_header`].
-    pub crc: u32,
+/// everything its [`Note::Write`] carries except `dynamic_layout` (dynamic
+/// writes take the mutex path; they allocate regardless).
+#[derive(Debug, Clone, Copy, Default)]
+struct FixedWriteRecord {
+    variable_id: u32,
+    iteration: u32,
+    source: u32,
+    data_crc: u32,
+    segment: Span,
+    epoch: u32,
+    /// [`header_crc`] of [`note`](Self::note), stamped at append.
+    crc: u32,
+}
+
+impl FixedWriteRecord {
+    fn note(&self) -> Note<Span> {
+        Note::Write {
+            variable_id: self.variable_id,
+            iteration: self.iteration,
+            source: self.source,
+            segment: self.segment,
+            dynamic_layout: None,
+            data_crc: self.data_crc,
+        }
+    }
 }
 
 /// One lock-free staging slot.
@@ -248,80 +208,40 @@ impl std::fmt::Debug for EventJournal {
     }
 }
 
-/// Byte-identical to [`encode_header`] for a static-layout `Write`
-/// payload (asserted by test): 8 seq + 1 tag + 4 variable_id +
-/// 4 iteration + 4 source + 8 offset + 8 len + 4 data_crc.
-pub fn encode_fixed_write_header(seq: u64, r: &FixedWriteRecord) -> [u8; 41] {
-    // Cursor-style fill: no slice indexing, so the encoder itself stays
-    // panic-free on the hot path.
-    fn put(buf: &mut [u8; 41], at: usize, bytes: &[u8]) {
-        for (d, s) in buf.iter_mut().skip(at).zip(bytes) {
-            *d = *s;
-        }
-    }
-    let mut buf = [0u8; 41];
-    put(&mut buf, 0, &seq.to_le_bytes());
-    put(&mut buf, 8, &[0]); // tag: Write
-    put(&mut buf, 9, &r.variable_id.to_le_bytes());
-    put(&mut buf, 13, &r.iteration.to_le_bytes());
-    put(&mut buf, 17, &r.source.to_le_bytes());
-    put(&mut buf, 21, &r.offset.to_le_bytes());
-    put(&mut buf, 29, &r.len.to_le_bytes());
-    put(&mut buf, 37, &r.data_crc.to_le_bytes());
-    buf
-}
-
-/// Encodes the integrity-protected header fields of a record.
-fn encode_header(seq: u64, payload: &JournalPayload) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(64);
-    buf.extend_from_slice(&seq.to_le_bytes());
-    match payload {
-        JournalPayload::Write {
+/// CRC-32 over a record's integrity-protected fields — sequence number,
+/// kind tag, then the kind's fields (a dynamic layout is not covered) —
+/// fed field by field, so neither append path builds a buffer.
+fn header_crc(seq: u64, note: &Note<Span>) -> u32 {
+    let mut crc = 0xFFFF_FFFF;
+    let mut feed = |bytes: &[u8]| crc = damaris_format::crc32_update(crc, bytes);
+    feed(&seq.to_le_bytes());
+    match note {
+        Note::Write {
             variable_id,
-            iteration,
-            source,
-            offset,
-            len,
+            segment,
             data_crc,
             ..
         } => {
-            buf.push(0);
-            buf.extend_from_slice(&variable_id.to_le_bytes());
-            buf.extend_from_slice(&iteration.to_le_bytes());
-            buf.extend_from_slice(&source.to_le_bytes());
-            buf.extend_from_slice(&(*offset as u64).to_le_bytes());
-            buf.extend_from_slice(&(*len as u64).to_le_bytes());
-            buf.extend_from_slice(&data_crc.to_le_bytes());
+            feed(&[0]);
+            feed(&variable_id.to_le_bytes());
+            feed(&(segment.offset as u64).to_le_bytes());
+            feed(&(segment.len as u64).to_le_bytes());
+            feed(&data_crc.to_le_bytes());
         }
-        JournalPayload::User {
-            name,
-            iteration,
-            source,
-        } => {
-            buf.push(1);
-            buf.extend_from_slice(name.as_bytes());
-            buf.extend_from_slice(&iteration.to_le_bytes());
-            buf.extend_from_slice(&source.to_le_bytes());
+        Note::User { name, .. } => {
+            feed(&[1]);
+            feed(name.as_bytes());
         }
-        JournalPayload::EndIteration { iteration, source } => {
-            buf.push(2);
-            buf.extend_from_slice(&iteration.to_le_bytes());
-            buf.extend_from_slice(&source.to_le_bytes());
-        }
-        JournalPayload::Abandon {
-            iteration,
-            source,
-            offset,
-            len,
-        } => {
-            buf.push(3);
-            buf.extend_from_slice(&iteration.to_le_bytes());
-            buf.extend_from_slice(&source.to_le_bytes());
-            buf.extend_from_slice(&(*offset as u64).to_le_bytes());
-            buf.extend_from_slice(&(*len as u64).to_le_bytes());
+        Note::EndIteration { .. } => feed(&[2]),
+        Note::Abandon { segment, .. } => {
+            feed(&[3]);
+            feed(&(segment.offset as u64).to_le_bytes());
+            feed(&(segment.len as u64).to_le_bytes());
         }
     }
-    buf
+    feed(&note.iteration().to_le_bytes());
+    feed(&note.source().to_le_bytes());
+    crc ^ 0xFFFF_FFFF
 }
 
 impl EventJournal {
@@ -329,28 +249,30 @@ impl EventJournal {
         Self::default()
     }
 
-    /// Journals a notification and returns its sequence number. Called by
-    /// clients *before* the matching queue push. Fails if the source has
-    /// been fenced ([`fence`](Self::fence)) — the caller must abandon the
+    /// Journals a note and returns its sequence number. Called by clients
+    /// *before* the matching queue push. Fails if the source has been
+    /// fenced ([`fence`](Self::fence)) — the caller must abandon the
     /// operation and surface a `ClientFenced` error instead of pushing.
     ///
-    /// This is the mutex path, for control-plane record kinds and
-    /// dynamic-layout writes; static writes go through
-    /// [`append_write`](Self::append_write).
-    // ANALYZE: cold — control-plane record kinds (User/EndIteration/Abandon, dynamic Write) take the mutex by design
-    pub fn append(&self, epoch: u32, payload: JournalPayload) -> Result<u64, Fenced> {
+    /// This is the mutex path, for control-plane kinds and dynamic-layout
+    /// writes; static writes go through [`append_write`](Self::append_write).
+    pub fn append(&self, epoch: u32, note: Note<Span>) -> Result<u64, Fenced> {
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        self.append_with_seq(seq, epoch, payload)
+        self.append_with_seq(seq, epoch, note)
     }
 
-    fn append_with_seq(&self, seq: u64, epoch: u32, payload: JournalPayload) -> Result<u64, Fenced> {
-        let source = payload.source();
-        let crc = damaris_format::crc32(&encode_header(seq, &payload));
+    /// The mutex path behind [`append`](Self::append), and the fallback of
+    /// [`append_write`](Self::append_write) when the slab is full or the
+    /// source is outside the fence-bit range.
+    // ANALYZE: cold — the mutex path: control-plane kinds, dynamic writes and fast-path overflow take the lock by design; bounded jitter, correctness identical
+    #[cold]
+    fn append_with_seq(&self, seq: u64, epoch: u32, note: Note<Span>) -> Result<u64, Fenced> {
+        let source = note.source();
         let record = JournalRecord {
             seq,
             epoch,
-            crc,
-            payload,
+            crc: header_crc(seq, &note),
+            note,
             state: RecordState::Pending,
         };
         let mut inner = self.inner.lock();
@@ -398,8 +320,17 @@ impl EventJournal {
         // Relaxed: the counter only hands out unique tickets; record
         // visibility is ordered by the slot state below (or the mutex).
         let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
+        let mut rec = FixedWriteRecord {
+            variable_id,
+            iteration,
+            source,
+            data_crc,
+            segment: Span { offset, len },
+            epoch,
+            crc: 0,
+        };
         if source >= FAST_SOURCES {
-            return self.append_write_slow(seq, epoch, variable_id, iteration, source, offset, len, data_crc);
+            return self.append_with_seq(seq, epoch, rec.note());
         }
         let bit = 1u64 << source;
         // seqcst: fence-vs-append is a store-buffering (Dekker) pattern —
@@ -409,17 +340,7 @@ impl EventJournal {
         if self.fenced_mask.load(Ordering::SeqCst) & bit != 0 {
             return Err(Fenced { source });
         }
-        let mut rec = FixedWriteRecord {
-            variable_id,
-            iteration,
-            source,
-            data_crc,
-            offset: offset as u64,
-            len: len as u64,
-            epoch,
-            crc: 0,
-        };
-        rec.crc = damaris_format::crc32(&encode_fixed_write_header(seq, &rec));
+        rec.crc = header_crc(seq, &rec.note());
         for slot in self.staging.iter() {
             // Relaxed probe: the claim CAS below re-validates the word.
             let cur = slot.state.load(Ordering::Relaxed);
@@ -460,34 +381,7 @@ impl EventJournal {
             }
             return Ok(seq);
         }
-        self.append_write_slow(seq, epoch, variable_id, iteration, source, offset, len, data_crc)
-    }
-
-    /// Mutex fallback for [`append_write`](Self::append_write): slab full
-    /// or source outside the fence-bit range.
-    // ANALYZE: cold — overflow fallback takes the mutex by design; bounded jitter, correctness identical
-    #[cold]
-    #[allow(clippy::too_many_arguments)]
-    fn append_write_slow(
-        &self,
-        seq: u64,
-        epoch: u32,
-        variable_id: u32,
-        iteration: u32,
-        source: u32,
-        offset: usize,
-        len: usize,
-        data_crc: u32,
-    ) -> Result<u64, Fenced> {
-        self.append_with_seq(seq, epoch, JournalPayload::Write {
-            variable_id,
-            iteration,
-            source,
-            offset,
-            len,
-            dynamic_layout: None,
-            data_crc,
-        })
+        self.append_with_seq(seq, epoch, rec.note())
     }
 
     /// Folds every `READY` staging slot into the record map. Called with
@@ -535,15 +429,7 @@ impl EventJournal {
                 seq,
                 epoch: rec.epoch,
                 crc: rec.crc,
-                payload: JournalPayload::Write {
-                    variable_id: rec.variable_id,
-                    iteration: rec.iteration,
-                    source: rec.source,
-                    offset: rec.offset as usize,
-                    len: rec.len as usize,
-                    dynamic_layout: None,
-                    data_crc: rec.data_crc,
-                },
+                note: rec.note(),
                 state: RecordState::Pending,
             });
             // Release: hands the slot back; pairs with a future
@@ -558,7 +444,7 @@ impl EventJournal {
     /// lattice (re-adopting `Write`/`Abandon` segments by their journaled
     /// coordinates). One critical section: no append can land between the
     /// fence and the collection.
-    pub fn fence(&self, source: u32) -> Vec<(u64, JournalPayload)> {
+    pub fn fence(&self, source: u32) -> Vec<(u64, Note<Span>)> {
         if source < FAST_SOURCES {
             // seqcst: fence half of the Dekker pattern — the bit must be
             // set in the global SeqCst order *before* the slab scan below
@@ -573,8 +459,8 @@ impl EventJournal {
         inner
             .records
             .values()
-            .filter(|rec| rec.state == RecordState::Pending && rec.payload.source() == source)
-            .map(|rec| (rec.seq, rec.payload.clone()))
+            .filter(|rec| rec.state == RecordState::Pending && rec.note.source() == source)
+            .map(|rec| (rec.seq, rec.note.clone()))
             .collect()
     }
 
@@ -621,14 +507,14 @@ impl EventJournal {
             if rec.state == RecordState::Applied {
                 continue;
             }
-            if damaris_format::crc32(&encode_header(rec.seq, &rec.payload)) != rec.crc {
+            if header_crc(rec.seq, &rec.note) != rec.crc {
                 corrupt += 1;
                 continue;
             }
             entries.push(ReplayEntry {
                 seq: rec.seq,
                 state: rec.state,
-                payload: rec.payload.clone(),
+                note: rec.note.clone(),
             });
         }
         (entries, corrupt)
@@ -669,13 +555,12 @@ impl EventJournal {
 mod tests {
     use super::*;
 
-    fn write_payload(source: u32) -> JournalPayload {
-        JournalPayload::Write {
+    fn write_note(source: u32) -> Note<Span> {
+        Note::Write {
             variable_id: 1,
             iteration: 0,
             source,
-            offset: 128,
-            len: 64,
+            segment: Span { offset: 128, len: 64 },
             dynamic_layout: None,
             data_crc: 0,
         }
@@ -684,9 +569,9 @@ mod tests {
     #[test]
     fn seqnos_are_monotonic_and_claims_are_exactly_once() {
         let j = EventJournal::new();
-        let a = j.append(0, write_payload(0)).unwrap();
+        let a = j.append(0, write_note(0)).unwrap();
         let b = j
-            .append(0, JournalPayload::EndIteration {
+            .append(0, Note::EndIteration {
                 iteration: 0,
                 source: 0,
             })
@@ -702,10 +587,10 @@ mod tests {
     #[test]
     fn replay_skips_applied_and_orders_by_seq() {
         let j = EventJournal::new();
-        let a = j.append(0, write_payload(0)).unwrap();
-        let b = j.append(0, write_payload(1)).unwrap();
+        let a = j.append(0, write_note(0)).unwrap();
+        let b = j.append(0, write_note(1)).unwrap();
         let c = j
-            .append(0, JournalPayload::User {
+            .append(0, Note::User {
                 name: "snap".into(),
                 iteration: 0,
                 source: 1,
@@ -725,8 +610,8 @@ mod tests {
     #[test]
     fn corrupt_records_are_skipped_not_replayed() {
         let j = EventJournal::new();
-        let a = j.append(0, write_payload(0)).unwrap();
-        let b = j.append(0, write_payload(1)).unwrap();
+        let a = j.append(0, write_note(0)).unwrap();
+        let b = j.append(0, write_note(1)).unwrap();
         j.corrupt_for_test(a);
         let (entries, corrupt) = j.replay_snapshot();
         assert_eq!(corrupt, 1);
@@ -737,8 +622,8 @@ mod tests {
     #[test]
     fn compact_drops_only_applied() {
         let j = EventJournal::new();
-        let a = j.append(0, write_payload(0)).unwrap();
-        let b = j.append(0, write_payload(1)).unwrap();
+        let a = j.append(0, write_note(0)).unwrap();
+        let b = j.append(0, write_note(1)).unwrap();
         j.claim(a);
         j.mark_applied(a);
         assert_eq!(j.compact(), 1);
@@ -751,9 +636,9 @@ mod tests {
     #[test]
     fn fence_rejects_appends_and_collects_pending() {
         let j = EventJournal::new();
-        let a = j.append(0, write_payload(3)).unwrap();
-        let b = j.append(0, write_payload(3)).unwrap();
-        let other = j.append(0, write_payload(1)).unwrap();
+        let a = j.append(0, write_note(3)).unwrap();
+        let b = j.append(0, write_note(3)).unwrap();
+        let other = j.append(0, write_note(1)).unwrap();
         // One record of the doomed client is already claimed (resident):
         // the fence only hands back the still-pending ones.
         assert_eq!(j.claim(a), Claim::Fresh);
@@ -761,11 +646,11 @@ mod tests {
         let pending = j.fence(3);
         assert_eq!(pending.len(), 1);
         assert_eq!(pending[0].0, b);
-        assert!(matches!(pending[0].1, JournalPayload::Write { source: 3, .. }));
+        assert!(matches!(pending[0].1, Note::Write { source: 3, .. }));
         assert!(j.is_fenced(3));
         // Fenced source can no longer journal; others can.
-        assert!(matches!(j.append(0, write_payload(3)), Err(Fenced { source: 3 })));
-        assert!(j.append(0, write_payload(1)).is_ok());
+        assert!(matches!(j.append(0, write_note(3)), Err(Fenced { source: 3 })));
+        assert!(j.append(0, write_note(1)).is_ok());
         // Fencing twice is idempotent (the pending set may have shrunk).
         assert_eq!(j.claim(b), Claim::Fresh);
         assert!(j.fence(3).is_empty());
@@ -774,29 +659,33 @@ mod tests {
     }
 
     #[test]
-    fn fixed_header_is_byte_identical_to_dynamic_encoding() {
-        let rec = FixedWriteRecord {
-            variable_id: 7,
-            iteration: 3,
-            source: 42,
-            data_crc: 0xdead_beef,
-            offset: 4096,
-            len: 1024,
-            epoch: 9,
-            crc: 0,
+    fn fast_and_mutex_appends_stamp_the_same_header_crc() {
+        // The same static write, once staged lock-free and once through
+        // the mutex path, each as the first record (seq 0) of its journal.
+        let fast = EventJournal::new();
+        let slow = EventJournal::new();
+        let a = fast.append_write(9, 7, 3, 42, 4096, 1024, 0xdead_beef).unwrap();
+        let b = slow
+            .append(9, Note::Write {
+                variable_id: 7,
+                iteration: 3,
+                source: 42,
+                segment: Span {
+                    offset: 4096,
+                    len: 1024,
+                },
+                dynamic_layout: None,
+                data_crc: 0xdead_beef,
+            })
+            .unwrap();
+        assert_eq!((a, b), (0, 0));
+        let crc_of = |j: &EventJournal| {
+            // The snapshot folds the staged record into the map.
+            let (entries, corrupt) = j.replay_snapshot();
+            assert_eq!(corrupt, 0);
+            (entries[0].note.clone(), j.inner.lock().records[&0].crc)
         };
-        let payload = JournalPayload::Write {
-            variable_id: 7,
-            iteration: 3,
-            source: 42,
-            offset: 4096,
-            len: 1024,
-            dynamic_layout: None,
-            data_crc: 0xdead_beef,
-        };
-        let fixed = encode_fixed_write_header(0x0123_4567_89ab, &rec);
-        let dynamic = encode_header(0x0123_4567_89ab, &payload);
-        assert_eq!(&fixed[..], &dynamic[..]);
+        assert_eq!(crc_of(&fast), crc_of(&slow));
     }
 
     #[test]
@@ -809,18 +698,17 @@ mod tests {
         assert_eq!(corrupt, 0, "staged record must replay with a valid CRC");
         assert_eq!(entries.len(), 1);
         assert_eq!(entries[0].seq, seq);
-        assert!(matches!(
-            entries[0].payload,
-            JournalPayload::Write {
-                variable_id: 7,
-                iteration: 3,
-                source: 2,
+        assert_eq!(entries[0].note, Note::Write {
+            variable_id: 7,
+            iteration: 3,
+            source: 2,
+            segment: Span {
                 offset: 4096,
-                len: 1024,
-                dynamic_layout: None,
-                data_crc: 0xabcd,
-            }
-        ));
+                len: 1024
+            },
+            dynamic_layout: None,
+            data_crc: 0xabcd,
+        });
         assert_eq!(j.claim(seq), Claim::Fresh);
         assert_eq!(j.claim(seq), Claim::Stale);
     }
@@ -886,7 +774,7 @@ mod tests {
             .collect();
         // Let the writers run, then fence two of them mid-flight.
         std::thread::sleep(std::time::Duration::from_millis(10));
-        let pending_of_fenced: Vec<(u64, JournalPayload)> =
+        let pending_of_fenced: Vec<(u64, Note<Span>)> =
             [0u32, 1].iter().flat_map(|&s| j.fence(s)).collect();
         std::thread::sleep(std::time::Duration::from_millis(5));
         stop.store(true, StdOrdering::Relaxed);
@@ -916,17 +804,16 @@ mod tests {
 
     #[test]
     fn data_crc_is_integrity_protected() {
-        // Two Write payloads differing only in data_crc must have
+        // Two Write notes differing only in data_crc must have
         // different header CRCs — the end-to-end checksum is itself
         // covered by the journal's integrity guard.
         let j = EventJournal::new();
         let a = j
-            .append(0, JournalPayload::Write {
+            .append(0, Note::Write {
                 variable_id: 1,
                 iteration: 0,
                 source: 0,
-                offset: 0,
-                len: 8,
+                segment: Span { offset: 0, len: 8 },
                 dynamic_layout: None,
                 data_crc: 0x1111,
             })
@@ -936,20 +823,19 @@ mod tests {
             entries
                 .iter()
                 .find(|e| e.seq == seq)
-                .map(|e| damaris_format::crc32(&encode_header(e.seq, &e.payload)))
+                .map(|e| header_crc(e.seq, &e.note))
                 .unwrap()
         };
         let crc_a = rec_crc(a);
         // Same seq, same fields, different data_crc → different header CRC.
-        let altered = JournalPayload::Write {
+        let altered = Note::Write {
             variable_id: 1,
             iteration: 0,
             source: 0,
-            offset: 0,
-            len: 8,
+            segment: Span { offset: 0, len: 8 },
             dynamic_layout: None,
             data_crc: 0x2222,
         };
-        assert_ne!(crc_a, damaris_format::crc32(&encode_header(a, &altered)));
+        assert_ne!(crc_a, header_crc(a, &altered));
     }
 }

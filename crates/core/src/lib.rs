@@ -76,8 +76,8 @@ pub use config::{
     OnClientFailure, OnDiskFull, ResilienceConfig, VariableDef,
 };
 pub use error::DamarisError;
-pub use event::Event;
-pub use journal::{Claim, EventJournal, JournalPayload, RecordState};
+pub use event::{Event, Note, Span};
+pub use journal::{Claim, EventJournal, RecordState};
 pub use layout::LayoutDef;
 pub use metadata::{MetadataStore, StoredVariable, VariableKey};
 pub use multinode::{AnalysisReport, SmpNode, SmpNodeReport, Topology};

@@ -16,16 +16,19 @@ use crate::client::DamarisClient;
 use crate::config::{AllocatorKind, Config};
 use crate::epe::EventProcessingEngine;
 use crate::error::DamarisError;
-use crate::event::Event;
-use crate::journal::{EventJournal, JournalPayload};
+use crate::event::{Event, Note, Span};
+use crate::journal::{EventJournal, Fenced};
 use crate::plugin::PluginFactory;
 use crate::server;
 use damaris_fs::{LocalDirBackend, StorageBackend};
-use damaris_obs::{Counter, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER};
+use damaris_obs::{
+    Counter, EventKind, MetricsSnapshot, Recorder, Registry, TraceRing, FLAG_SERVER,
+};
 use damaris_shm::sync::Arc;
 use damaris_shm::{
     AllocError, HeartbeatWord, LeaseTable, MpscQueue, MutexAllocator, PartitionAllocator, Segment,
 };
+use std::convert::Infallible;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -120,8 +123,6 @@ pub(crate) struct FaultStats {
     pub segments_reclaimed: Counter,
     pub crc_quarantined: Counter,
     pub partial_iterations: Counter,
-    pub shm_orphans_removed: Counter,
-    pub shm_orphans_quarantined: Counter,
     pub storage_pressure_degraded: Counter,
     pub storage_pressure_readonly: Counter,
     pub storage_pressure_recovered: Counter,
@@ -147,8 +148,6 @@ impl FaultStats {
             segments_reclaimed: metrics.counter("node.segments_reclaimed"),
             crc_quarantined: metrics.counter("node.crc_quarantined"),
             partial_iterations: metrics.counter("node.partial_iterations"),
-            shm_orphans_removed: metrics.counter("node.shm_orphans_removed"),
-            shm_orphans_quarantined: metrics.counter("node.shm_orphans_quarantined"),
             storage_pressure_degraded: metrics.counter("node.storage_pressure_degraded"),
             storage_pressure_readonly: metrics.counter("node.storage_pressure_readonly"),
             storage_pressure_recovered: metrics.counter("node.storage_pressure_recovered"),
@@ -262,6 +261,63 @@ pub(crate) struct NodeShared {
     pub pressure: crate::pressure::PressureMachine,
 }
 
+impl NodeShared {
+    /// Journals `note`, then pushes it to the dedicated core: the one way
+    /// a notification enters the queue. A static write takes the
+    /// journal's lock-free path with the handle it already holds; any
+    /// other note takes the mutex path. The `JournalAppend` and
+    /// `QueuePush` spans chain from `t`; returns the last span's end.
+    ///
+    /// Fails once the source is fenced: the note drops un-pushed, and a
+    /// segment it names stays reserved until the sweeper's
+    /// `revoke_remaining` reclaims it (clients never release).
+    pub(crate) fn notify(
+        &self,
+        rec: &Recorder,
+        t: u64,
+        note: Note<Segment>,
+    ) -> Result<u64, Fenced> {
+        let epoch = self.heartbeat.epoch();
+        let seq = match &note {
+            Note::Write {
+                variable_id,
+                iteration,
+                source,
+                segment,
+                dynamic_layout: None,
+                data_crc,
+            } => self.journal.append_write(
+                epoch,
+                *variable_id,
+                *iteration,
+                *source,
+                segment.offset(),
+                segment.len(),
+                *data_crc,
+            ),
+            _ => self.append_locked(epoch, &note),
+        }?;
+        let iteration = note.iteration();
+        let t = rec.end(EventKind::JournalAppend, iteration, 0, t);
+        self.queue.push_wait(Event::Note { seq, note });
+        Ok(rec.end(EventKind::QueuePush, iteration, 0, t))
+    }
+
+    /// [`notify`](Self::notify)'s mutex path: the journal keeps the note
+    /// by span, which clones its name or dynamic layout.
+    // ANALYZE: cold — control-plane kinds and dynamic writes clone into a mutex-path record by design
+    #[cold]
+    fn append_locked(&self, epoch: u32, note: &Note<Segment>) -> Result<u64, Fenced> {
+        let Ok(spanned) = note.map_segment(|s| {
+            Ok::<_, Infallible>(Span {
+                offset: s.offset(),
+                len: s.len(),
+            })
+        });
+        self.journal.append(epoch, spanned)
+    }
+}
+
 /// Final accounting returned by [`NodeRuntime::finish`].
 ///
 /// This is a *snapshot view*: every field is either copied from a named
@@ -343,14 +399,6 @@ pub struct NodeReport {
     /// fenced before contributing) under the `partial` policy.
     /// metric: node.partial_iterations
     pub partial_iterations: u64,
-    /// Orphaned `/dev/shm` mapping files from dead prior runs unlinked by
-    /// the startup sweep (file-backed topology only).
-    /// metric: node.shm_orphans_removed
-    pub shm_orphans_removed: u64,
-    /// Mapping files with an unrecognizable header quarantined (renamed,
-    /// never silently deleted) by the startup sweep.
-    /// metric: node.shm_orphans_quarantined
-    pub shm_orphans_quarantined: u64,
     /// Storage-pressure transitions into `Degraded` (high watermark
     /// crossed or a permanent persist error seen; compactor paused,
     /// superseded files gc'd).
@@ -575,26 +623,16 @@ impl NodeRuntime {
         if self.shared.config.bindings_for(event).is_empty() {
             return Err(DamarisError::UnknownEvent(event.to_string()));
         }
-        let seq = self
-            .shared
-            .journal
-            .append(
-                self.shared.heartbeat.epoch(),
-                JournalPayload::User {
-                    name: event.to_string(),
-                    iteration,
-                    source: crate::server::SERVER_SOURCE,
-                },
-            )
-            // invariant: the sweeper only ever fences client sources; the
-            // server's own source id is never in the fenced set.
-            .expect("server source is never fenced");
-        self.shared.queue.push_wait(Event::User {
+        let note = Note::User {
             name: event.to_string(),
             iteration,
             source: crate::server::SERVER_SOURCE,
-            seq,
-        });
+        };
+        self.shared
+            .notify(&Recorder::disabled(), 0, note)
+            // invariant: the sweeper only ever fences client sources; the
+            // server's own source id is never in the fenced set.
+            .expect("server source is never fenced");
         Ok(())
     }
 

@@ -27,8 +27,8 @@
 use crate::config::{OnClientFailure, OnDiskFull};
 use crate::epe::{EventProcessingEngine, END_OF_ITERATION};
 use crate::error::DamarisError;
-use crate::event::Event;
-use crate::journal::{Claim, JournalPayload, RecordState, ReplayEntry};
+use crate::event::{Event, Note, Span};
+use crate::journal::{Claim, RecordState, ReplayEntry};
 use crate::metadata::{MetadataStore, StoredVariable, VariableKey};
 use crate::node::{FaultStats, NodeReport, NodeShared};
 use crate::plugin::{ActionContext, EventInfo};
@@ -85,17 +85,19 @@ pub(crate) fn run(
         let event = server.wait_for_event()?;
         // Tagged with the iteration we are presumably waiting to complete.
         server.rec.end(EventKind::QueueIdle, server.last_fired.wrapping_add(1), 0, t_idle);
-        // Claim arbitration: an event whose journal record was already
+        let Event::Note { seq, note } = event else {
+            server.shutdown()?;
+            break;
+        };
+        // Claim arbitration: a note whose journal record was already
         // processed (by a previous epoch's replay) is dropped. The segment
         // handle in a stale Write is inert — the replay's adopted handle
         // owns the allocation.
-        if event.seq().is_some_and(|seq| shared.journal.claim(seq) == Claim::Stale) {
+        if shared.journal.claim(seq) == Claim::Stale {
             FaultStats::bump(&shared.stats.stale_events_rejected);
             continue;
         }
-        if !server.handle(event)? {
-            break;
-        }
+        server.handle(seq, note)?;
         server.maintain()?;
         shared.heartbeat.beat();
     }
@@ -219,15 +221,15 @@ impl<'a> Server<'a> {
                 self.node_id
             );
         }
-        for ReplayEntry { seq, state, payload } in entries {
+        for ReplayEntry { seq, state, note } in entries {
             // Claim pending records so the stale queue copy is rejected
             // when it eventually pops.
             if state == RecordState::Pending {
                 let _ = self.shared.journal.claim(seq);
             }
-            if let Some(event) = self.readmit(seq, state, payload) {
+            if let Some(note) = self.readmit(seq, state, note) {
                 FaultStats::bump(&self.shared.stats.events_replayed);
-                self.handle(event)?;
+                self.handle(seq, note)?;
             }
         }
         // Fire iterations the replayed notifications (or pre-crash
@@ -238,110 +240,60 @@ impl<'a> Server<'a> {
     }
 
     /// Replay's pre-filters: turns a surviving journal record back into
-    /// the event the dead incarnation popped, or retires it and returns
+    /// the note the dead incarnation popped, or retires it and returns
     /// `None`.
-    fn readmit(&mut self, seq: u64, state: RecordState, payload: JournalPayload) -> Option<Event> {
-        if self.fenced.contains(&payload.source()) {
+    fn readmit(&mut self, seq: u64, state: RecordState, note: Note<Span>) -> Option<Note<Segment>> {
+        let source = note.source();
+        if self.fenced.contains(&source) {
             // The dead epoch's sweeper fenced this client but may have
             // crashed mid-cancel: finish the job.
-            self.cancel(seq, payload);
+            self.cancel(seq, note);
             return None;
         }
-        match payload {
-            JournalPayload::Write {
-                variable_id,
-                iteration,
-                source,
-                offset,
-                len,
-                dynamic_layout,
-                data_crc,
-            } => Some(Event::Write {
-                variable_id,
-                iteration,
-                source,
-                segment: self.adopt_or_retire(seq, source, offset, len)?,
-                dynamic_layout,
-                seq,
-                data_crc,
-            }),
-            JournalPayload::Abandon {
-                iteration,
-                source,
-                offset,
-                len,
-            } => Some(Event::Abandon {
-                iteration,
-                source,
-                segment: self.adopt_or_retire(seq, source, offset, len)?,
-                seq,
-            }),
-            JournalPayload::EndIteration { iteration, source } => {
-                Some(Event::EndIteration { iteration, source, seq })
-            }
-            // A claimed record may already have run its plugins in the
-            // dead epoch: at-most-once forbids re-firing.
-            JournalPayload::User { .. } if state != RecordState::Pending => {
-                self.shared.journal.mark_applied(seq);
-                None
-            }
-            JournalPayload::User {
-                name,
-                iteration,
-                source,
-            } => Some(Event::User {
-                name,
-                iteration,
-                source,
-                seq,
-            }),
+        // A claimed user event may already have run its plugins in the
+        // dead epoch: at-most-once forbids re-firing.
+        if matches!(note, Note::User { .. }) && state != RecordState::Pending {
+            self.shared.journal.mark_applied(seq);
+            return None;
         }
+        note.map_segment(|span| self.adopt_or_retire(seq, source, *span)).ok()
     }
 
     /// Re-creates the handle of a journaled segment, or retires the record
     /// when the segment is no longer reserved: it was released between
     /// persisting (or cancelling) and marking the record applied, so the
     /// data is already safe (or was deliberately degraded).
-    fn adopt_or_retire(&self, seq: u64, source: u32, offset: usize, len: usize) -> Option<Segment> {
-        let segment = self.shared.buffer.adopt(source, offset, len);
-        if segment.is_none() {
+    fn adopt_or_retire(&self, seq: u64, source: u32, span: Span) -> Result<Segment, ()> {
+        let Span { offset, len } = span;
+        self.shared.buffer.adopt(source, offset, len).ok_or_else(|| {
             self.shared.journal.mark_applied(seq);
             eprintln!(
                 "[damaris node {}] journal seq {seq} (src {source}, {len}B@{offset}) \
                  not adoptable; retired",
                 self.node_id
             );
-        }
-        segment
+        })
     }
 
-    /// Cancels a fenced client's journaled notification: it never takes
-    /// effect, but a segment it names must still release in seq order,
-    /// so the segment is held until its iteration's flush (or the record
-    /// retires if the segment was already released). An end notification
-    /// is not counted: completion comes from the fenced set.
-    fn cancel(&mut self, seq: u64, payload: JournalPayload) {
-        match payload {
-            JournalPayload::Write {
-                iteration,
-                source,
-                offset,
-                len,
-                ..
+    /// Cancels a fenced client's journaled note: it never takes effect,
+    /// but a segment it names must still release in seq order, so the
+    /// segment is held until its iteration's flush (or the record retires
+    /// if the segment was already released). An end notification is not
+    /// counted: completion comes from the fenced set.
+    fn cancel(&mut self, seq: u64, note: Note<Span>) {
+        let source = note.source();
+        match note.map_segment(|span| self.adopt_or_retire(seq, source, *span)) {
+            Ok(Note::Write {
+                iteration, segment, ..
             }
-            | JournalPayload::Abandon {
-                iteration,
-                source,
-                offset,
-                len,
-            } => {
-                if let Some(segment) = self.adopt_or_retire(seq, source, offset, len) {
-                    self.hold(iteration, (source, seq, segment));
-                }
+            | Note::Abandon {
+                iteration, segment, ..
+            }) => self.hold(iteration, (source, seq, segment)),
+            Ok(Note::User { .. } | Note::EndIteration { .. }) => {
+                self.shared.journal.mark_applied(seq)
             }
-            JournalPayload::User { .. } | JournalPayload::EndIteration { .. } => {
-                self.shared.journal.mark_applied(seq);
-            }
+            // Already released: `adopt_or_retire` retired the record.
+            Err(()) => {}
         }
     }
 
@@ -349,17 +301,15 @@ impl<'a> Server<'a> {
         self.held_rewrites.entry(iteration).or_default().push(held);
     }
 
-    /// Acts on one event, popped or replayed. Returns `false` once a
-    /// `Terminate` has shut the node down.
-    fn handle(&mut self, event: Event) -> Result<bool, DamarisError> {
-        match event {
-            Event::Write {
+    /// Acts on one claimed note, popped or replayed.
+    fn handle(&mut self, seq: u64, note: Note<Segment>) -> Result<(), DamarisError> {
+        match note {
+            Note::Write {
                 variable_id,
                 iteration,
                 source,
                 segment,
                 dynamic_layout,
-                seq,
                 data_crc,
             } => {
                 let config = &self.shared.config;
@@ -391,11 +341,10 @@ impl<'a> Server<'a> {
                     self.hold(iteration, (source, replaced.seq, replaced.segment));
                 }
             }
-            Event::User {
+            Note::User {
                 name,
                 iteration,
                 source,
-                seq,
             } => {
                 // At-most-once: retire the record before firing, so a
                 // crash mid-plugin does not re-fire it on replay.
@@ -412,26 +361,19 @@ impl<'a> Server<'a> {
             }
             // The fire itself happens in the `fire_ready` pass, which also
             // covers iterations completed by fencing.
-            Event::EndIteration {
-                iteration,
-                source,
-                seq,
-            } => self.end_counts.entry(iteration).or_default().push((source, seq)),
+            Note::EndIteration { iteration, source } => {
+                self.end_counts.entry(iteration).or_default().push((source, seq))
+            }
             // A client handed back an uncommitted region. It may not
             // release the segment itself (per-client FIFO, single
             // consumer) — hold it until the iteration's flush.
-            Event::Abandon {
+            Note::Abandon {
                 iteration,
                 source,
                 segment,
-                seq,
             } => self.hold(iteration, (source, seq, segment)),
-            Event::Terminate => {
-                self.shutdown()?;
-                return Ok(false);
-            }
         }
-        Ok(true)
+        Ok(())
     }
 
     /// Runs `action` against an [`ActionContext`] over the server's state,
@@ -761,8 +703,6 @@ impl<'a> Server<'a> {
         report.segments_reclaimed = FaultStats::get(&stats.segments_reclaimed);
         report.crc_quarantined = FaultStats::get(&stats.crc_quarantined);
         report.partial_iterations = FaultStats::get(&stats.partial_iterations);
-        report.shm_orphans_removed = FaultStats::get(&stats.shm_orphans_removed);
-        report.shm_orphans_quarantined = FaultStats::get(&stats.shm_orphans_quarantined);
         report.storage_pressure_degraded = FaultStats::get(&stats.storage_pressure_degraded);
         report.storage_pressure_readonly = FaultStats::get(&stats.storage_pressure_readonly);
         report.storage_pressure_recovered = FaultStats::get(&stats.storage_pressure_recovered);

@@ -92,11 +92,14 @@ pub enum EventKind {
     /// (Normal → Degraded → ReadOnly and back). `bytes` encodes the new
     /// state's discriminant.
     PressureTransition = 20,
+    /// The client's end-to-end CRC-32 over a payload: the source bytes
+    /// before the `memcpy`, or the segment at a zero-copy `commit`.
+    Checksum = 21,
 }
 
 impl EventKind {
     /// Every kind, in discriminant order (for analyzer iteration).
-    pub const ALL: [EventKind; 21] = [
+    pub const ALL: [EventKind; 22] = [
         EventKind::Iteration,
         EventKind::WriteCall,
         EventKind::AllocWait,
@@ -118,6 +121,7 @@ impl EventKind {
         EventKind::BlockRead,
         EventKind::CacheHit,
         EventKind::PressureTransition,
+        EventKind::Checksum,
     ];
 
     /// Short stable label used in analyzer output.
@@ -144,6 +148,7 @@ impl EventKind {
             EventKind::BlockRead => "block_read",
             EventKind::CacheHit => "cache_hit",
             EventKind::PressureTransition => "pressure_transition",
+            EventKind::Checksum => "checksum",
         }
     }
 }

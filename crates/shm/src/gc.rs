@@ -18,8 +18,8 @@
 //! * anything else (live creator, fresh beat, or the caller's own file)
 //!   is kept.
 //!
-//! The counts surface in `NodeReport` as `shm_orphans_removed` /
-//! `shm_orphans_quarantined`.
+//! The process EPE reports the counts as `EpeReport::orphans_removed` /
+//! `orphans_quarantined`.
 
 use crate::backing::{monotonic_now_ns, pid_alive};
 use crate::mapped::{HEADER_BYTES, MAGIC, VERSION};

@@ -122,6 +122,7 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
     assert_eq!(writes.bytes, expected_writes * (ELEMS as u64 * 8));
     for kind in [
         EventKind::AllocWait,
+        EventKind::Checksum,
         EventKind::Memcpy,
         EventKind::JournalAppend,
         EventKind::QueuePush,
@@ -211,7 +212,8 @@ fn injected_stall_is_attributed_to_the_backend_phase() {
 /// Ring overflow is counted, not silent: with a deliberately tiny ring
 /// and a bursty workload, records drop — and the trailer's drop count
 /// balances the books against the exact number of records the clients
-/// pushed (5 per successful write; `end_iteration` pushes none).
+/// pushed (6 per successful write, 2 per `end_iteration`: its journal
+/// append and queue push).
 #[test]
 fn ring_overflow_is_accounted_in_the_trailer() {
     const DROP_CLIENTS: usize = 2;
@@ -243,7 +245,7 @@ fn ring_overflow_is_accounted_in_the_trailer() {
     // counted dropped. The trailer total also covers the server ring, so
     // the client-side deficit can't exceed it.
     let pushed_by_clients =
-        DROP_CLIENTS as u64 * u64::from(DROP_ITERS) * u64::from(DROP_WRITES) * 5;
+        DROP_CLIENTS as u64 * u64::from(DROP_ITERS) * (u64::from(DROP_WRITES) * 6 + 2);
     let flushed_by_clients = merged
         .records
         .iter()
